@@ -32,6 +32,7 @@ from .olfe_solver import NoPureCommitmentError, solve_olfe
 from .plfe_exact import LfeResult, SolverFailure, solve_plfe
 
 SCHEMA = "polystack/1"
+THREADS_HELP = "accepted for compatibility; solves run on one thread"
 
 
 class DomainError(RuntimeError):
@@ -150,16 +151,14 @@ def _cmd_solve(args) -> int:
     game, _ = _load_game(args.game)
     try:
         if args.mode == "pessimistic":
-            res = solve_plfe(
-                game, alpha=args.alpha, time_limit=args.time_limit, threads=args.threads
-            )
+            res = solve_plfe(game, alpha=args.alpha, time_limit=args.time_limit)
             out = _result_json(args.mode, res)
         elif args.mode in ("optimistic", "pure-olfe"):
             if args.mode == "optimistic" and not game.is_one_level_tree():
                 raise DomainError(
                     "mode optimistic requires a one-level tree game; use pure-olfe"
                 )
-            res = solve_olfe(game, time_limit=args.time_limit, threads=args.threads)
+            res = solve_olfe(game, time_limit=args.time_limit)
             out = _result_json(args.mode, res)
         else:  # apx
             report = solve_plfe_apx(game, alpha=args.alpha)
@@ -304,9 +303,7 @@ def _cmd_bench(args) -> int:
             for seed in range(args.seeds):
                 game = instance_gen.random_oltpg(n, m, seed)
                 t0 = time.perf_counter()
-                res = solve_plfe(
-                    game, time_limit=args.time_limit, threads=args.threads
-                )
+                res = solve_plfe(game, time_limit=args.time_limit)
                 times.append(time.perf_counter() - t0)
                 if not res.anytime_complete:
                     timeouts += 1
@@ -342,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", required=True, choices=["pessimistic", "optimistic", "apx", "pure-olfe"])
     p.add_argument("--alpha", type=float, default=1e-6)
     p.add_argument("--time-limit", type=float, default=None)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.add_argument("game")
     p.set_defaults(func=_cmd_solve)
 
@@ -388,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_parse_int_list, default=list(range(2, 13)))
     p.add_argument("--seeds", type=int, default=20)
     p.add_argument("--time-limit", type=float, default=60.0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.set_defaults(func=_cmd_bench)
     return ap
 

@@ -8,7 +8,6 @@ other players are leaves hanging off the leader.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -182,11 +181,6 @@ def validate(game: PolymatrixGame) -> ValidationReport:
     return ValidationReport(GameClass.SPG)
 
 
-def follower_payoff_vector(game: PolymatrixGame, p: int, a_p: int) -> np.ndarray:
-    """The vector over leader actions of U_{p,n}(a_p, .)."""
-    return game.follower_matrix(p)[a_p]
-
-
 def pure_utility(game: PolymatrixGame, p: int, full_profile: dict[int, int]) -> float:
     """Sum of p's bilateral payoffs at a full pure action profile."""
     if p not in game.player_ids:
@@ -287,13 +281,6 @@ def enumerate_pure_ne(
     for idx in np.argwhere(mask):
         out.append({p: int(a) for p, a in zip(followers, idx)})
     return out
-
-
-def iter_follower_profiles(game: PolymatrixGame):
-    """Lexicographic enumeration of the follower pure-profile space."""
-    followers = game.followers
-    for combo in itertools.product(*[range(game.num_actions(p)) for p in followers]):
-        yield dict(zip(followers, combo))
 
 
 # -- JSON form -----------------------------------------------------------

@@ -6,17 +6,14 @@ deterministic: identical input bytes produce the identical optimal vertex,
 which matters because downstream attainment flags read slack values off
 whichever optimum is returned.
 
-Two entry points:
-  * ``maximize`` -- raw dense interface over nonnegative variables, used by
-    the solvers on their hot paths;
-  * ``solve`` -- named-variable interface (`LinearProgram` -> `LpSolution`)
-    with free variables, shifted lower bounds and upper bounds.
+The one entry point is ``maximize``: a dense LP over nonnegative variables
+with inequality and equality rows, returning a vertex optimum.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -219,126 +216,3 @@ def maximize(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> DenseResult:
         if (np.abs(A_eq @ xs - np.asarray(b_eq).ravel()) > _FEAS_TOL).any():
             return DenseResult(LpStatus.FAILED)
     return DenseResult(LpStatus.OPTIMAL, xs.copy(), float(c @ xs))
-
-
-@dataclass
-class _Var:
-    name: str
-    lb: float = 0.0
-    ub: float | None = None
-
-
-@dataclass
-class LinearProgram:
-    """Maximization LP over named variables.
-
-    Variables default to a lower bound of 0; declare ``lb=-inf`` for free
-    variables. Constraints are sparse dicts ``{name: coefficient}``.
-    """
-
-    _vars: list[_Var] = field(default_factory=list)
-    _index: dict[str, int] = field(default_factory=dict)
-    _objective: dict[str, float] = field(default_factory=dict)
-    _constraints: list[tuple[dict[str, float], str, float]] = field(default_factory=list)
-
-    def add_var(self, name: str, lb: float = 0.0, ub: float | None = None) -> None:
-        if name in self._index:
-            raise ValueError(f"duplicate variable {name!r}")
-        self._index[name] = len(self._vars)
-        self._vars.append(_Var(name, lb, ub))
-
-    def set_objective(self, coeffs: dict[str, float]) -> None:
-        self._check(coeffs)
-        self._objective = dict(coeffs)
-
-    def add_constraint(self, coeffs: dict[str, float], rel: str, rhs: float) -> None:
-        if rel not in ("<=", "=", ">="):
-            raise ValueError(f"unknown relation {rel!r}")
-        self._check(coeffs)
-        if not np.isfinite(rhs):
-            raise ValueError("non-finite right-hand side")
-        self._constraints.append((dict(coeffs), rel, float(rhs)))
-
-    def _check(self, coeffs: dict[str, float]) -> None:
-        for name, v in coeffs.items():
-            if name not in self._index:
-                raise ValueError(f"unknown variable {name!r}")
-            if not np.isfinite(v):
-                raise ValueError(f"non-finite coefficient for {name!r}")
-
-
-@dataclass
-class LpSolution:
-    status: LpStatus
-    assignment: dict[str, float] | None = None
-    objective_value: float | None = None
-
-
-def solve(lp: LinearProgram) -> LpSolution:
-    """Solve a named-variable LP by reduction to ``maximize``.
-
-    Free variables are split into positive parts, finite lower bounds are
-    shifted away, upper bounds become explicit rows.
-    """
-    nv = len(lp._vars)
-    # column map: var i -> (pos_col, neg_col or -1, shift)
-    cols = []
-    ncols = 0
-    for v in lp._vars:
-        if np.isneginf(v.lb):
-            cols.append((ncols, ncols + 1, 0.0))
-            ncols += 2
-        else:
-            cols.append((ncols, -1, v.lb))
-            ncols += 1
-
-    def expand(coeffs: dict[str, float]):
-        row = np.zeros(ncols)
-        shift = 0.0
-        for name, coef in coeffs.items():
-            i = lp._index[name]
-            pc, ncol, off = cols[i]
-            row[pc] += coef
-            if ncol >= 0:
-                row[ncol] -= coef
-            shift += coef * off
-        return row, shift
-
-    c, c_shift = expand(lp._objective)
-    A_ub, b_ub, A_eq, b_eq = [], [], [], []
-    for coeffs, rel, rhs in lp._constraints:
-        row, shift = expand(coeffs)
-        if rel == "<=":
-            A_ub.append(row)
-            b_ub.append(rhs - shift)
-        elif rel == ">=":
-            A_ub.append(-row)
-            b_ub.append(shift - rhs)
-        else:
-            A_eq.append(row)
-            b_eq.append(rhs - shift)
-    for i, v in enumerate(lp._vars):
-        if v.ub is not None:
-            row = np.zeros(ncols)
-            pc, ncol, off = cols[i]
-            row[pc] = 1.0
-            if ncol >= 0:
-                row[ncol] = -1.0
-            A_ub.append(row)
-            b_ub.append(v.ub - off)
-
-    res = maximize(c, A_ub or None, b_ub or None, A_eq or None, b_eq or None)
-    if res.status is not LpStatus.OPTIMAL:
-        return LpSolution(res.status)
-    assignment = {}
-    for v, (pc, ncol, off) in zip(lp._vars, cols):
-        val = res.x[pc] + off
-        if ncol >= 0:
-            val -= res.x[ncol]
-        assignment[v.name] = float(val)
-    obj = float(res.objective + c_shift)
-    # objective consistency check against the assignment
-    direct = sum(coef * assignment[name] for name, coef in lp._objective.items())
-    if abs(direct - obj) > 1e-9 * max(1.0, abs(obj)):
-        return LpSolution(LpStatus.FAILED)
-    return LpSolution(LpStatus.OPTIMAL, assignment, obj)

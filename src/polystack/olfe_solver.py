@@ -13,15 +13,11 @@ algorithm; measure-zero knife-edge regions are discarded.
 
 from __future__ import annotations
 
-import itertools
-import time
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from . import lp_core
 from .game_model import MixedStrategy, PolymatrixGame
-from .plfe_exact import EPS_TOL, LfeResult, SolverFailure
+from .plfe_exact import EPS_TOL, LfeResult, SolverFailure, enumerate_profiles, margin_lp
 
 VALUE_TIE_TOL = 1e-9
 
@@ -65,10 +61,10 @@ class _OlfeBlocks:
             c += self.leader_mat[p][profile[p]]
         return c
 
-    def deviation_rows(self, profile: dict[int, int]):
-        """(vector, constant) per non-equivalent deviation: the profile is a
-        weak NE at s iff vector @ s + constant >= 0 for every row."""
-        rows = []
+    def deviation_rows(self, profile: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        """(D, d0) over the deviations that change some payoff: the profile
+        is a weak NE at s iff D s + d0 >= 0."""
+        vecs, consts = [], []
         for p in self.followers:
             a_p = profile[p]
             base_ff = self.ff_utility(p, a_p, profile)
@@ -77,8 +73,11 @@ class _OlfeBlocks:
                     continue
                 dv = self.fol_mat[p][a_p] - self.fol_mat[p][a2]
                 d0 = base_ff - self.ff_utility(p, a2, profile)
-                rows.append((dv, d0, (dv == 0.0).all() and d0 == 0.0))
-        return rows
+                if not ((dv == 0.0).all() and d0 == 0.0):
+                    vecs.append(dv)
+                    consts.append(d0)
+        D = np.array(vecs) if vecs else np.zeros((0, self.m_n))
+        return D, np.array(consts)
 
 
 def olfe_profile_lp(
@@ -87,15 +86,13 @@ def olfe_profile_lp(
     """Best commitment making the profile a weak pure NE, or None when the
     profile cannot be induced by any commitment."""
     blocks = _OlfeBlocks(game)
-    return _profile_lp(blocks, profile)
+    return _profile_lp(blocks, profile, blocks.deviation_rows(profile))
 
 
-def _profile_lp(blocks: _OlfeBlocks, profile: dict[int, int]):
-    m_n = blocks.m_n
-    rows = [(dv, d0) for dv, d0, equiv in blocks.deviation_rows(profile) if not equiv]
-    A_ub = np.array([-dv for dv, _ in rows]) if rows else None
-    b_ub = np.array([d0 for _, d0 in rows]) if rows else None
-    A_eq = np.ones((1, m_n))
+def _profile_lp(blocks: _OlfeBlocks, profile: dict[int, int], rows):
+    D, d0 = rows
+    A_ub, b_ub = (-D, d0) if len(D) else (None, None)
+    A_eq = np.ones((1, blocks.m_n))
     res = lp_core.maximize(blocks.objective(profile), A_ub, b_ub, A_eq, [1.0])
     if res.status is lp_core.LpStatus.INFEASIBLE:
         return None
@@ -108,28 +105,14 @@ def profile_region_epsilon(game: PolymatrixGame, profile: dict[int, int]) -> flo
     """Max strict margin over commitments for the profile's NE constraints;
     zero means the inducibility region has empty interior."""
     blocks = _OlfeBlocks(game)
-    return _region_eps(blocks, profile)
+    return _region_eps(blocks, blocks.deviation_rows(profile))
 
 
-def _region_eps(blocks: _OlfeBlocks, profile: dict[int, int]) -> float:
-    m_n = blocks.m_n
-    rows = [(dv, d0) for dv, d0, equiv in blocks.deviation_rows(profile) if not equiv]
-    if not rows:
+def _region_eps(blocks: _OlfeBlocks, rows) -> float:
+    D, d0 = rows
+    if not len(D):
         return 1.0
-    k = len(rows)
-    c = np.zeros(m_n + 1)
-    c[-1] = 1.0
-    A_ub = np.zeros((k + 1, m_n + 1))
-    b_ub = np.zeros(k + 1)
-    for i, (dv, d0) in enumerate(rows):
-        A_ub[i, :m_n] = -dv
-        A_ub[i, -1] = 1.0
-        b_ub[i] = d0
-    A_ub[k, -1] = 1.0
-    b_ub[k] = 1.0
-    A_eq = np.zeros((1, m_n + 1))
-    A_eq[0, :m_n] = 1.0
-    res = lp_core.maximize(c, A_ub, b_ub, A_eq, [1.0])
+    res = lp_core.maximize(*margin_lp(D, blocks.m_n, d0))
     if res.status is lp_core.LpStatus.INFEASIBLE:
         return 0.0
     if res.status is not lp_core.LpStatus.OPTIMAL:
@@ -137,53 +120,24 @@ def _region_eps(blocks: _OlfeBlocks, profile: dict[int, int]) -> float:
     return float(res.objective)
 
 
-def solve_olfe(
-    game: PolymatrixGame,
-    time_limit: float | None = None,
-    threads: int = 1,
-) -> LfeResult:
+def solve_olfe(game: PolymatrixGame, time_limit: float | None = None) -> LfeResult:
     """Optimistic equilibrium: max over inducible follower profiles of the
     per-profile LP. The optimum is always attained."""
     blocks = _OlfeBlocks(game)
     followers = game.followers
-    combos = list(itertools.product(*[range(game.num_actions(p)) for p in followers]))
-    deadline = None if time_limit is None else time.perf_counter() + time_limit
 
     def work(combo):
         profile = dict(zip(followers, combo))
-        if _region_eps(blocks, profile) <= EPS_TOL:
+        rows = blocks.deviation_rows(profile)
+        if _region_eps(blocks, rows) <= EPS_TOL:
             return None
-        got = _profile_lp(blocks, profile)
+        got = _profile_lp(blocks, profile, rows)
         if got is None:
             return None
         v, s = got
         return (v, combo, s)
 
-    results = []
-    processed = 0
-    truncated = False
-    if threads <= 1:
-        for combo in combos:
-            if deadline is not None and time.perf_counter() > deadline and results:
-                truncated = True
-                break
-            r = work(combo)
-            if r is not None:
-                results.append(r)
-            processed += 1
-    else:
-        chunk = 256
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for start in range(0, len(combos), chunk):
-                if deadline is not None and time.perf_counter() > deadline and results:
-                    truncated = True
-                    break
-                batch = combos[start : start + chunk]
-                for r in pool.map(work, batch):
-                    if r is not None:
-                        results.append(r)
-                processed += len(batch)
-
+    results, processed, truncated = enumerate_profiles(game, work, time_limit)
     if not results:
         if game.is_one_level_tree():
             raise SolverFailure("one-level tree games always admit an inducible profile")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,22 +67,6 @@ class TieSets:
         return [a for a in range(len(self.class_of[p])) if self.class_of[p][a] != cid]
 
 
-def tie_set(game: PolymatrixGame, p: int, a_p: int) -> set[int]:
-    """Actions of follower p whose payoff vectors equal a_p's exactly."""
-    M = game.follower_matrix(p)
-    return {a for a in range(M.shape[0]) if np.array_equal(M[a_p], M[a])}
-
-
-@dataclass
-class ProfileResult:
-    profile: dict[int, int]
-    epsilon: float
-    value: float | None = None
-    strategy: MixedStrategy | None = None
-    zeta: dict[tuple[int, int], float] = field(default_factory=dict)
-    beta: bool | None = None
-
-
 @dataclass
 class LfeResult:
     value: float
@@ -130,8 +113,10 @@ class _Blocks:
         return _strict_eps_lp(D, self.m_n)
 
 
-def _strict_eps_lp(D: np.ndarray, m_n: int) -> float:
-    # max eps s.t. D s >= eps, sum s = 1, s >= 0, 0 <= eps <= 1
+def margin_lp(D: np.ndarray, m_n: int, d0: np.ndarray | None = None):
+    """Arguments of ``lp_core.maximize`` for the margin LP over (s, eps):
+    max eps s.t. D s - eps >= -d0, eps <= 1, sum s = 1, s >= 0 (d0 = 0
+    when omitted)."""
     k = D.shape[0]
     c = np.zeros(m_n + 1)
     c[-1] = 1.0
@@ -140,10 +125,16 @@ def _strict_eps_lp(D: np.ndarray, m_n: int) -> float:
     A_ub[:k, -1] = 1.0
     A_ub[k, -1] = 1.0
     b_ub = np.zeros(k + 1)
+    if d0 is not None:
+        b_ub[:k] = d0
     b_ub[k] = 1.0
     A_eq = np.zeros((1, m_n + 1))
     A_eq[0, :m_n] = 1.0
-    res = lp_core.maximize(c, A_ub, b_ub, A_eq, [1.0])
+    return c, A_ub, b_ub, A_eq, [1.0]
+
+
+def _strict_eps_lp(D: np.ndarray, m_n: int) -> float:
+    res = lp_core.maximize(*margin_lp(D, m_n))
     if res.status is lp_core.LpStatus.INFEASIBLE:
         # even eps = 0 needs D s >= 0 somewhere; empty region
         return 0.0
@@ -154,7 +145,7 @@ def _strict_eps_lp(D: np.ndarray, m_n: int) -> float:
 
 def emptiness_check(
     game: PolymatrixGame, profile: dict[int, int], ties: TieSets | None = None
-) -> tuple[float, MixedStrategy]:
+) -> tuple[float, MixedStrategy | None]:
     """Max margin by which some commitment makes every profile action a
     strict best response. Zero means the region has empty interior."""
     ties = ties or TieSets.for_game(game)
@@ -162,25 +153,16 @@ def emptiness_check(
     return _emptiness(blocks, profile)
 
 
-def _emptiness(blocks: _Blocks, profile: dict[int, int]) -> tuple[float, MixedStrategy]:
+def _emptiness(
+    blocks: _Blocks, profile: dict[int, int]
+) -> tuple[float, MixedStrategy | None]:
     m_n = blocks.m_n
     D = blocks.margin_rows(profile)
     if D.shape[0] == 0:
         probs = np.zeros(m_n)
         probs[0] = 1.0
         return 1.0, MixedStrategy(blocks.game.leader, probs)
-    k = D.shape[0]
-    c = np.zeros(m_n + 1)
-    c[-1] = 1.0
-    A_ub = np.zeros((k + 1, m_n + 1))
-    A_ub[:k, :m_n] = -D
-    A_ub[:k, -1] = 1.0
-    A_ub[k, -1] = 1.0
-    b_ub = np.zeros(k + 1)
-    b_ub[k] = 1.0
-    A_eq = np.zeros((1, m_n + 1))
-    A_eq[0, :m_n] = 1.0
-    res = lp_core.maximize(c, A_ub, b_ub, A_eq, [1.0])
+    res = lp_core.maximize(*margin_lp(D, m_n))
     if res.status is lp_core.LpStatus.INFEASIBLE:
         # the profile is nowhere a joint best response, not even weakly
         return 0.0, None
@@ -375,11 +357,31 @@ def _find_apx(blocks: _Blocks, profile: dict[int, int], v_star: float, alpha: fl
     return MixedStrategy(blocks.game.leader, res.x[:m_n])
 
 
+def enumerate_profiles(game: PolymatrixGame, work, time_limit: float | None = None):
+    """Calls ``work(combo)`` on every follower pure profile, as a tuple of
+    actions in ``game.followers`` order, in lexicographic order, and keeps
+    the results that are not None.
+
+    Once the time limit has passed, stops before the next profile provided
+    one result exists. Returns (results, profiles processed, truncated).
+    """
+    deadline = None if time_limit is None else time.perf_counter() + time_limit
+    results = []
+    processed = 0
+    for combo in itertools.product(*[range(game.num_actions(p)) for p in game.followers]):
+        if deadline is not None and time.perf_counter() > deadline and results:
+            return results, processed, True
+        result = work(combo)
+        if result is not None:
+            results.append(result)
+        processed += 1
+    return results, processed, False
+
+
 def solve_plfe(
     game: PolymatrixGame,
     alpha: float = 1e-6,
     time_limit: float | None = None,
-    threads: int = 1,
 ) -> LfeResult:
     """Pessimistic leader-follower equilibrium of a one-level tree game.
 
@@ -403,9 +405,6 @@ def solve_plfe(
         for p in followers
     }
 
-    deadline = None if time_limit is None else time.perf_counter() + time_limit
-    combos = list(itertools.product(*[range(game.num_actions(p)) for p in followers]))
-
     def work(combo):
         if not all(strict_ok[p][a] for p, a in zip(followers, combo)):
             return None
@@ -418,43 +417,14 @@ def solve_plfe(
         raw_beta = any(z <= ZETA_TOL for z in zeta.values()) if zeta else False
         return (v, combo, s, raw_beta)
 
-    survivors = []
-    processed = 0
-    truncated = False
-    best_v = -np.inf
-    chunk = 256
-
-    def note(result):
-        nonlocal best_v
-        if result is not None:
-            survivors.append(result)
-            if result[0] > best_v:
-                best_v = result[0]
-
-    if threads <= 1:
-        for combo in combos:
-            if deadline is not None and time.perf_counter() > deadline and survivors:
-                truncated = True
-                break
-            note(work(combo))
-            processed += 1
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for start in range(0, len(combos), chunk):
-                if deadline is not None and time.perf_counter() > deadline and survivors:
-                    truncated = True
-                    break
-                batch = combos[start : start + chunk]
-                for result in pool.map(work, batch):
-                    note(result)
-                processed += len(batch)
-
+    survivors, processed, truncated = enumerate_profiles(game, work, time_limit)
     if not survivors:
         raise SolverFailure(
             "no follower profile has a full-dimensional best-response region; "
             "the leader simplex must be covered, so this is a solver defect"
         )
 
+    best_v = max(r[0] for r in survivors)
     contenders = [r for r in survivors if r[0] >= best_v - VALUE_TIE_TOL]
     chosen = None
     chosen_beta = None

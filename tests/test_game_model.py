@@ -11,7 +11,6 @@ from polystack.game_model import (
     best_response_set,
     enumerate_pure_ne,
     evaluate_commitment,
-    follower_payoff_vector,
     game_from_json_dict,
     game_to_json_dict,
     pure_utility,
@@ -71,12 +70,12 @@ class TestValidate:
 
 class TestPayoffAccess:
     def test_follower_payoff_vectors(self, star3_game):
-        assert (follower_payoff_vector(star3_game, 1, 0) == [0, 8, 8]).all()
-        assert (follower_payoff_vector(star3_game, 1, 1) == [4, 0, 4]).all()
+        assert (star3_game.follower_matrix(1)[0] == [0, 8, 8]).all()
+        assert (star3_game.follower_matrix(1)[1] == [4, 0, 4]).all()
 
     def test_zero_matrix_gives_zero_vector(self):
         g = two_player_game([[0, 0], [0, 0]], [[1, 2], [3, 4]])
-        assert (follower_payoff_vector(g, 1, 1) == 0).all()
+        assert (g.follower_matrix(1)[1] == 0).all()
 
     def test_pure_utility_sums_edges(self, star3_game):
         # leader against (a, b) when playing a: 9 + 0

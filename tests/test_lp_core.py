@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import linprog
 
 from polystack import lp_core
-from polystack.lp_core import LinearProgram, LpStatus, maximize, solve
+from polystack.lp_core import LpStatus, maximize
 
 
 def test_simple_bounded():
@@ -52,32 +52,6 @@ def test_degenerate_redundant_rows():
     )
     assert res.status is LpStatus.OPTIMAL
     assert res.objective == pytest.approx(1.0)
-
-
-def test_named_interface_free_vars_and_bounds():
-    lp = LinearProgram()
-    lp.add_var("x", lb=-np.inf)
-    lp.add_var("y", lb=1.0, ub=4.0)
-    lp.set_objective({"x": 1.0, "y": 1.0})
-    lp.add_constraint({"x": 1.0, "y": 2.0}, "<=", 6.0)
-    lp.add_constraint({"x": 1.0}, ">=", -10.0)
-    sol = solve(lp)
-    assert sol.status is LpStatus.OPTIMAL
-    # y at its lower bound maximizes x's room: x = 4, y = 1
-    assert sol.assignment["y"] == pytest.approx(1.0)
-    assert sol.assignment["x"] == pytest.approx(4.0)
-    assert sol.objective_value == pytest.approx(5.0)
-
-
-def test_named_interface_rejects_unknowns():
-    lp = LinearProgram()
-    lp.add_var("x")
-    with pytest.raises(ValueError):
-        lp.set_objective({"z": 1.0})
-    with pytest.raises(ValueError):
-        lp.add_constraint({"x": np.inf}, "<=", 1.0)
-    with pytest.raises(ValueError):
-        lp.add_var("x")
 
 
 @pytest.mark.parametrize("seed", range(40))

@@ -66,13 +66,6 @@ class TestSolveOlfe:
     def test_always_attained(self, star3_game):
         assert solve_olfe(star3_game).attained is True
 
-    def test_threads_match_sequential(self):
-        g = random_oltpg(4, 4, 3)
-        r1, r4 = solve_olfe(g, threads=1), solve_olfe(g, threads=4)
-        assert r1.value == r4.value
-        assert (r1.strategy.probs == r4.strategy.probs).all()
-        assert r1.profile == r4.profile
-
     def test_general_game_without_inducible_profile(self):
         # matching pennies between the followers: no pure equilibrium ever
         a = np.array([[1.0, -1.0], [-1.0, 1.0]])
