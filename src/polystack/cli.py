@@ -26,6 +26,7 @@ from .game_model import (
     evaluate_commitment,
     game_from_json_dict,
     game_to_json_dict,
+    payoff_violations,
     validate,
 )
 from .olfe_solver import NoPureCommitmentError, solve_olfe
@@ -92,18 +93,31 @@ def _load_game(path: str) -> tuple[PolymatrixGame, dict | None]:
         raise DomainError(f"bad game file {path}: {exc}") from exc
 
 
+def _load_solvable_game(path: str) -> PolymatrixGame:
+    """A game whose payoff matrices have the right shapes and finite entries."""
+    game, _ = _load_game(path)
+    violations = payoff_violations(game)
+    if violations:
+        raise DomainError(f"bad game file {path}: {'; '.join(violations)}")
+    return game
+
+
+def _checked_strategy(probs, game: PolymatrixGame) -> MixedStrategy:
+    try:
+        s = MixedStrategy(game.leader, np.array(probs, dtype=float))
+        s.validate(game.num_actions(game.leader))
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"invalid strategy: {exc}") from exc
+    return s
+
+
 def _load_strategy(path: str, game: PolymatrixGame) -> MixedStrategy:
     data = _read_json(path)
     if isinstance(data, dict):
         data = data.get("strategy", data.get("probs"))
     if not isinstance(data, list):
         raise DomainError(f"{path}: expected a probability list or a solve output")
-    s = MixedStrategy(game.leader, np.array(data, dtype=float))
-    try:
-        s.validate(game.num_actions(game.leader))
-    except ValueError as exc:
-        raise DomainError(f"invalid strategy: {exc}") from exc
-    return s
+    return _checked_strategy(data, game)
 
 
 def _profile_pairs(profile: dict[int, int]) -> list[list[int]]:
@@ -148,7 +162,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    game, _ = _load_game(args.game)
+    game = _load_solvable_game(args.game)
     try:
         if args.mode == "pessimistic":
             res = solve_plfe(game, alpha=args.alpha, time_limit=args.time_limit)
@@ -178,7 +192,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    game, _ = _load_game(args.game)
+    game = _load_solvable_game(args.game)
     s = _load_strategy(args.strategy, game)
     try:
         value, profile = evaluate_commitment(game, s, args.mode)
@@ -236,7 +250,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    game, _ = _load_game(args.game)
+    game = _load_solvable_game(args.game)
     result = _read_json(args.result)
     try:
         mode = result["mode"]
@@ -248,7 +262,7 @@ def _cmd_verify(args) -> int:
     checks = []
     ok = True
 
-    s = MixedStrategy(game.leader, np.array(strategy, dtype=float))
+    s = _checked_strategy(strategy, game)
     if game.is_one_level_tree():
         slack = 0.0 if result.get("attained", True) else float(result.get("alpha", 0.0))
         got, _ = evaluate_commitment(game, s, eval_mode)
@@ -401,3 +415,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

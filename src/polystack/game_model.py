@@ -136,9 +136,9 @@ class ValidationReport:
     renumbering: dict[int, int] | None = None
 
 
-def validate(game: PolymatrixGame) -> ValidationReport:
-    """Classify a game as SPG / OLTPG / general, reporting why stricter
-    classes fail. Malformed payoff dimensions are violations, not crashes."""
+def payoff_violations(game: PolymatrixGame) -> list[str]:
+    """Self-edges and payoff matrices of the wrong shape or with non-finite
+    entries; the solvers need a game without any."""
     violations = []
     for (p, q), (mp, mq) in game.edges.items():
         if p == q:
@@ -152,6 +152,13 @@ def validate(game: PolymatrixGame) -> ValidationReport:
                 )
             elif not np.isfinite(mat).all():
                 violations.append(f"edge ({p},{q}) {name} has non-finite entries")
+    return violations
+
+
+def validate(game: PolymatrixGame) -> ValidationReport:
+    """Classify a game as SPG / OLTPG / general, reporting why stricter
+    classes fail. Malformed payoff dimensions are violations, not crashes."""
+    violations = payoff_violations(game)
     if violations:
         return ValidationReport(GameClass.GENERAL_PG, violations)
 

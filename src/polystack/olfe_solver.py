@@ -17,7 +17,14 @@ import numpy as np
 
 from . import lp_core
 from .game_model import MixedStrategy, PolymatrixGame
-from .plfe_exact import EPS_TOL, LfeResult, SolverFailure, enumerate_profiles, margin_lp
+from .plfe_exact import (
+    EPS_TOL,
+    LfeResult,
+    SolverFailure,
+    enumerate_profiles,
+    margin_lp,
+    within_simplex,
+)
 
 VALUE_TIE_TOL = 1e-9
 
@@ -148,7 +155,7 @@ def solve_olfe(game: PolymatrixGame, time_limit: float | None = None) -> LfeResu
     v, combo, s = next(r for r in results if r[0] >= best_v - VALUE_TIE_TOL)
     return LfeResult(
         value=float(v),
-        strategy=s,
+        strategy=within_simplex(s),
         profile=dict(zip(followers, combo)),
         attained=True,
         alpha=0.0,

@@ -262,7 +262,10 @@ def _attainment(blocks: _Blocks, profile: dict[int, int], value: float):
     Maximizes total slack over the optimal face (value held exactly; a
     relaxed retry only guards against rounding infeasibility — relaxing
     up front would let forced-zero slacks inflate proportionally to the
-    relaxation and mask genuine non-attainment)."""
+    relaxation and mask genuine non-attainment). That vertex can leave a
+    slack at zero which another point of the face makes positive, so each
+    zero slack that would flag non-attainment is maximized on its own, and
+    the face points found are averaged before the flag is read again."""
     c, A_ub, b_ub, A_eq, b_eq, zeta_keys, ncols = _maxmin_matrices(blocks, profile)
     if not zeta_keys:
         return False, {}, None
@@ -283,17 +286,39 @@ def _attainment(blocks: _Blocks, profile: dict[int, int], value: float):
             break
     if res.status is not lp_core.LpStatus.OPTIMAL:
         raise SolverFailure(f"attainment LP ended with {res.status}")
-    s = res.x[:m_n]
-    zeta_max = {key: float(res.x[zcol + j]) for j, key in enumerate(zeta_keys)}
-    beta = False
-    for p in blocks.followers:
-        tied_vals = blocks.L[p][blocks.ties.tie_set(p, profile[p])] @ s
-        v_p = float(tied_vals.min())
-        for a2 in blocks.non_tied[p][profile[p]]:
-            if zeta_max[(p, a2)] <= ZETA_TOL:
-                if float(blocks.L[p][a2] @ s) < v_p - 1e-9:
-                    beta = True
-    return beta, zeta_max, MixedStrategy(blocks.game.leader, s)
+
+    col = {key: zcol + j for j, key in enumerate(zeta_keys)}
+
+    def witnesses(x):
+        """Zeta columns at zero slack whose action is strictly worse for
+        the leader than the profile's tied actions."""
+        s = x[:m_n]
+        out = []
+        for p in blocks.followers:
+            v_p = float((blocks.L[p][blocks.ties.tie_set(p, profile[p])] @ s).min())
+            for a2 in blocks.non_tied[p][profile[p]]:
+                j = col[(p, a2)]
+                if x[j] <= ZETA_TOL and float(blocks.L[p][a2] @ s) < v_p - 1e-9:
+                    out.append(j)
+        return out
+
+    x = res.x
+    pending = witnesses(x)
+    if pending:
+        points = [x]
+        for j in pending:
+            c3 = np.zeros(ncols)
+            c3[j] = 1.0
+            res = lp_core.maximize(c3, A_ub2, b_ub2, A_eq, b_eq)
+            if res.status is not lp_core.LpStatus.OPTIMAL:
+                raise SolverFailure(f"attainment LP ended with {res.status}")
+            if res.objective > ZETA_TOL:
+                points.append(res.x)
+        if len(points) > 1:
+            x = np.mean(points, axis=0)
+            pending = witnesses(x)
+    zeta_max = {key: float(x[j]) for key, j in col.items()}
+    return bool(pending), zeta_max, MixedStrategy(blocks.game.leader, x[:m_n])
 
 
 def find_apx(
@@ -355,6 +380,16 @@ def _find_apx(blocks: _Blocks, profile: dict[int, int], v_star: float, alpha: fl
             f"(profile {profile}, v*={v_star}, alpha={alpha})"
         )
     return MixedStrategy(blocks.game.leader, res.x[:m_n])
+
+
+def within_simplex(s: MixedStrategy) -> MixedStrategy:
+    """``s`` itself when it passes ``validate``, else ``s`` clipped into
+    [0, 1]: a simplex vertex can overshoot a bound by rounding."""
+    try:
+        s.validate()
+        return s
+    except ValueError:
+        return MixedStrategy(s.player_id, np.clip(s.probs, 0.0, 1.0))
 
 
 def enumerate_profiles(game: PolymatrixGame, work, time_limit: float | None = None):
@@ -452,7 +487,7 @@ def solve_plfe(
         attained = True
     return LfeResult(
         value=float(v),
-        strategy=strategy,
+        strategy=within_simplex(strategy),
         profile=profile,
         attained=attained,
         alpha=alpha,

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,6 +110,50 @@ class TestEval:
         assert run(["eval", "--strategy", str(s), "--mode", "pessimistic", game_file]) == 1
 
 
+class TestMalformedGame:
+    """solve, eval and verify reject a game the solvers cannot read."""
+
+    def write(self, tmp_path, edit):
+        data = game_to_json_dict(random_oltpg(3, 2, 0))
+        edit(data["edges"])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        strategy = tmp_path / "s.json"
+        strategy.write_text(json.dumps({"mode": "pessimistic", "value": 0.0, "strategy": [0.5, 0.5]}))
+        return str(path), str(strategy)
+
+    def assert_rejected(self, capsys, game, strategy, message):
+        for argv in (
+            ["solve", "--mode", "pessimistic", game],
+            ["solve", "--mode", "optimistic", game],
+            ["eval", "--strategy", strategy, "--mode", "pessimistic", game],
+            ["verify", "--against", "1d", game, strategy],
+        ):
+            assert run(argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and message in captured.err, argv
+        code, out = run_out(capsys, ["validate", game])
+        assert code == 0
+        assert message in json.loads(out)["violations"]
+
+    def test_wrong_shape(self, capsys, tmp_path):
+        def edit(edges):
+            edges[0]["payoff_p"] = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+
+        game, strategy = self.write(tmp_path, edit)
+        self.assert_rejected(
+            capsys, game, strategy, "edge (1,3) payoff_p has shape (2, 3), expected (2, 2)"
+        )
+
+    def test_nan_payoff(self, capsys, tmp_path):
+        def edit(edges):
+            edges[1]["payoff_q"][0][1] = float("nan")
+
+        game, strategy = self.write(tmp_path, edit)
+        self.assert_rejected(capsys, game, strategy, "edge (2,3) payoff_q has non-finite entries")
+
+
 class TestGenerate:
     def test_random_deterministic(self, capsys):
         argv = ["generate", "random", "--players", "3", "--actions", "2", "--seed", "5"]
@@ -201,6 +249,18 @@ class TestVerify:
         assert json.loads(out)["ok"] is True
 
 
+    def test_invalid_strategy_is_domain_error(self, capsys, game_file, tmp_path):
+        _, solved = run_out(capsys, ["solve", "--mode", "pessimistic", game_file])
+        data = json.loads(solved)
+        for bad in ([1.5, -0.25, -0.25], ["a", "b", "c"]):
+            data["strategy"] = bad
+            res = tmp_path / "r.json"
+            res.write_text(json.dumps(data))
+            code = run(["verify", "--against", "grid", "--resolution", "4", game_file, str(res)])
+            assert code == 1
+            assert capsys.readouterr().err.startswith("error: invalid strategy:")
+
+
 class TestBench:
     def test_tiny_bench_csv(self, capsys):
         code, out = run_out(
@@ -212,6 +272,21 @@ class TestBench:
         n, m, mean, std, timeouts, profiles = lines[1].split(",")
         # two followers with two actions each: 4 profiles
         assert (n, m, timeouts, profiles) == ("3", "2", "0", "4")
+
+
+class TestModuleEntry:
+    def test_python_m_classify(self, game_file):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "polystack.cli", "classify", game_file],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"schema": "polystack/1", "class": "oltpg"}
 
 
 class TestUsage:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from polystack.game_model import MixedStrategy, evaluate_commitment
-from polystack.instance_gen import random_oltpg
-from polystack.oracles import grid_oracle, supremum_1d
+from polystack.game_model import MixedStrategy, PolymatrixGame, evaluate_commitment
+from polystack.instance_gen import clique_to_spg, random_oltpg
+from polystack.oracles import Graph, grid_oracle, supremum_1d
 from polystack.plfe_exact import (
     TieSets,
     attainment_flag,
@@ -176,6 +176,35 @@ class TestSolvePlfe:
             assert r.value == pytest.approx(v, abs=1e-6)
             assert r.attained == attained
 
+    def test_clique_path_attained(self):
+        # the sum-of-slacks vertex leaves one slack at zero; another point
+        # of the optimal face makes it positive, so the value 2 is attained
+        g = clique_to_spg(Graph(4, ((1, 2), (2, 3), (3, 4))))
+        r = solve_plfe(g)
+        assert r.value == pytest.approx(2.0, abs=1e-9)
+        assert r.attained is True
+        v, _ = evaluate_commitment(g, r.strategy, "pessimistic")
+        assert v == pytest.approx(2.0, abs=1e-9)
+
+    def test_strategy_passes_validate(self):
+        # relabelled and perturbed random_oltpg(6, 4, 1001): the LP vertex
+        # has an entry of 1.0000000000012994 before clipping
+        g = random_oltpg(6, 4, 1001)
+        rng = np.random.default_rng([0, 4])
+        perm = {p: rng.permutation(4) for p in g.player_ids}
+        order = rng.permutation(5)
+        edges = {}
+        for i, p in enumerate(g.followers):
+            mats = [
+                m[np.ix_(perm[p], perm[6])] + rng.uniform(-1, 1, m.shape)
+                for m in g.edges[(p, 6)]
+            ]
+            edges[(g.followers[order[i]], 6)] = tuple(np.clip(m, 0, 100) for m in mats)
+        h = PolymatrixGame(g.player_ids, g.actions, 6, edges)
+        r = solve_plfe(h, alpha=1e-3)
+        r.strategy.validate(4)
+        assert r.strategy.probs.tolist() == [1.0, 0.0, 0.0, 0.0]
+
     def test_time_limit_truncates(self):
         g = random_oltpg(5, 6, 7)
         r = solve_plfe(g, time_limit=1e-4)
@@ -185,8 +214,6 @@ class TestSolvePlfe:
         assert full.value >= r.value - 1e-9
 
     def test_rejects_general_games(self):
-        from polystack.game_model import PolymatrixGame
-
         z = np.zeros((2, 2))
         g = PolymatrixGame(
             (1, 2, 3),
