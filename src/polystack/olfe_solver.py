@@ -3,15 +3,21 @@
 Works for any polymatrix game with followers restricted to pure strategies:
 the LP for a profile maximizes the leader's expected utility over
 commitments that make the profile a pure Nash equilibrium of the follower
-game (weak inequalities, ties broken in the leader's favor). For one-level
-trees the equilibrium constraints reduce to per-follower best responses.
+game (weak inequalities, ties broken in the leader's favor).
 
 Only profiles whose inducibility region is full-dimensional enter the
-outer maximization, mirroring the region enumeration of the pessimistic
-algorithm; measure-zero knife-edge regions are discarded.
+outer maximization; measure-zero knife-edge regions are discarded. On
+one-level trees the equilibrium constraints reduce to per-follower best
+responses, the pessimistic solver's margin rows, so those profiles come
+from its depth-first search (``plfe_exact.search_profiles``). General
+graphs enumerate every profile, because a follower's constraints there
+depend on the other followers' actions.
 """
 
 from __future__ import annotations
+
+import itertools
+import time
 
 import numpy as np
 
@@ -21,8 +27,10 @@ from .plfe_exact import (
     EPS_TOL,
     LfeResult,
     SolverFailure,
-    enumerate_profiles,
+    TieSets,
+    _Blocks,
     margin_lp,
+    search_profiles,
     within_simplex,
 )
 
@@ -127,26 +135,60 @@ def _region_eps(blocks: _OlfeBlocks, rows) -> float:
     return float(res.objective)
 
 
+def enumerate_profiles(game: PolymatrixGame, work, time_limit: float | None = None):
+    """Calls ``work(combo)`` on every follower pure profile, as a tuple of
+    actions in ``game.followers`` order, in lexicographic order, and keeps
+    the results that are not None.
+
+    Once the time limit has passed, stops before the next profile provided
+    one result exists. Returns (results, profiles processed, truncated).
+    """
+    deadline = None if time_limit is None else time.perf_counter() + time_limit
+    results = []
+    processed = 0
+    for combo in itertools.product(*[range(game.num_actions(p)) for p in game.followers]):
+        if deadline is not None and time.perf_counter() > deadline and results:
+            return results, processed, True
+        result = work(combo)
+        if result is not None:
+            results.append(result)
+        processed += 1
+    return results, processed, False
+
+
 def solve_olfe(game: PolymatrixGame, time_limit: float | None = None) -> LfeResult:
     """Optimistic equilibrium: max over inducible follower profiles of the
-    per-profile LP. The optimum is always attained."""
+    per-profile LP. The optimum is always attained.
+
+    One-level trees search the profiles depth-first, pruning prefixes whose
+    region is empty; other games enumerate them all. A time limit truncates
+    the search and flags the result as incomplete."""
     blocks = _OlfeBlocks(game)
     followers = game.followers
 
-    def work(combo):
-        profile = dict(zip(followers, combo))
-        rows = blocks.deviation_rows(profile)
-        if _region_eps(blocks, rows) <= EPS_TOL:
-            return None
-        got = _profile_lp(blocks, profile, rows)
-        if got is None:
-            return None
-        v, s = got
-        return (v, combo, s)
+    def best_commitment(combo, rows):
+        got = _profile_lp(blocks, dict(zip(followers, combo)), rows)
+        return None if got is None else (got[0], combo, got[1])
 
-    results, processed, truncated = enumerate_profiles(game, work, time_limit)
+    tree = game.is_one_level_tree()
+    if tree:
+        # the tree's deviation rows are the margin rows with d0 = 0
+        results, processed, truncated = search_profiles(
+            _Blocks(game, TieSets.for_game(game)),
+            lambda combo, D: best_commitment(combo, (D, np.zeros(len(D)))),
+            time_limit,
+        )
+    else:
+
+        def work(combo):
+            rows = blocks.deviation_rows(dict(zip(followers, combo)))
+            if _region_eps(blocks, rows) <= EPS_TOL:
+                return None
+            return best_commitment(combo, rows)
+
+        results, processed, truncated = enumerate_profiles(game, work, time_limit)
     if not results:
-        if game.is_one_level_tree():
+        if tree:
             raise SolverFailure("one-level tree games always admit an inducible profile")
         raise NoPureCommitmentError(
             "no commitment makes any follower profile a pure Nash equilibrium"

@@ -1,16 +1,19 @@
 """Exact pessimistic leader-follower equilibrium for one-level tree games.
 
-Enumerates every follower pure-action profile, keeps those whose
-best-response region has nonempty interior, solves a max-min LP on each,
-and picks the profile with the highest value. When the optimum is a
-supremum rather than a maximum (some follower can tie with an action that
-hurts the leader), an additive alpha-approximate strategy is computed
-instead of the unattainable exact one.
+Keeps the follower pure-action profiles whose best-response region has
+nonempty interior, solves a max-min LP on each, and picks the profile with
+the highest value. Those profiles are found by a depth-first search over
+the followers (``search_profiles``): a profile's region is the
+intersection of its followers' regions, so a prefix of followers whose
+region is already empty cuts off every profile that extends it. When the
+optimum is a supremum rather than a maximum (some follower can tie with an
+action that hurts the leader), an additive alpha-approximate strategy is
+computed instead of the unattainable exact one.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -100,17 +103,42 @@ class _Blocks:
                 rows_p.append(self.M[p][a] - self.M[p][nt] if nt else np.zeros((0, self.m_n)))
             self.diff[p] = rows_p
             self.non_tied[p] = nt_p
+        self._prefilter: dict[tuple[int, int], tuple[float, np.ndarray | None]] = {}
 
     def margin_rows(self, profile: dict[int, int]) -> np.ndarray:
         blocks = [self.diff[p][profile[p]] for p in self.followers]
         return np.vstack(blocks) if blocks else np.zeros((0, self.m_n))
 
-    def action_strict_eps(self, p: int, a: int) -> float:
-        """Interior test for a single follower's region Delta_n(a)."""
-        D = self.diff[p][a]
-        if D.shape[0] == 0:
-            return 1.0
-        return _strict_eps_lp(D, self.m_n)
+    def prefilter(self, p: int, a: int) -> tuple[float, np.ndarray | None]:
+        """Interior test for a single follower's region Delta_n(a), with the
+        LP's point; computed once per (follower, action)."""
+        key = (p, a)
+        if key not in self._prefilter:
+            self._prefilter[key] = _strict_eps_lp(self.diff[p][a], self.m_n)
+        return self._prefilter[key]
+
+    def extend(self, D: np.ndarray, s: np.ndarray | None, p: int, a: int):
+        """Extends a prefix of followers, whose region has stacked margin rows
+        D and interior point s, by follower p playing a. Returns the rows and
+        an interior point of the extended region, or None when its interior
+        is empty (then so is that of every profile extending it)."""
+        rows = self.diff[p][a]
+        if not len(rows):  # every other action ties with a: same region
+            return D, s
+        eps, s_a = self.prefilter(p, a)
+        if eps <= EPS_TOL:
+            return None
+        if not len(D):
+            return rows, s_a
+        D = np.vstack([D, rows])
+        # s is feasible for the joint margin LP, whose optimum is therefore
+        # at least s's smallest margin: no LP needed when that is clear
+        if (D @ s).min() > 2 * EPS_TOL:
+            return D, s
+        eps, witness = _emptiness(self, D)
+        if eps <= EPS_TOL:
+            return None
+        return D, witness.probs
 
 
 def margin_lp(D: np.ndarray, m_n: int, d0: np.ndarray | None = None):
@@ -133,14 +161,14 @@ def margin_lp(D: np.ndarray, m_n: int, d0: np.ndarray | None = None):
     return c, A_ub, b_ub, A_eq, [1.0]
 
 
-def _strict_eps_lp(D: np.ndarray, m_n: int) -> float:
+def _strict_eps_lp(D: np.ndarray, m_n: int) -> tuple[float, np.ndarray | None]:
     res = lp_core.maximize(*margin_lp(D, m_n))
     if res.status is lp_core.LpStatus.INFEASIBLE:
         # even eps = 0 needs D s >= 0 somewhere; empty region
-        return 0.0
+        return 0.0, None
     if res.status is not lp_core.LpStatus.OPTIMAL:
         raise SolverFailure(f"interior-check LP ended with {res.status}")
-    return float(res.objective)
+    return float(res.objective), res.x[:m_n]
 
 
 def emptiness_check(
@@ -150,14 +178,12 @@ def emptiness_check(
     strict best response. Zero means the region has empty interior."""
     ties = ties or TieSets.for_game(game)
     blocks = _Blocks(game, ties)
-    return _emptiness(blocks, profile)
+    return _emptiness(blocks, blocks.margin_rows(profile))
 
 
-def _emptiness(
-    blocks: _Blocks, profile: dict[int, int]
-) -> tuple[float, MixedStrategy | None]:
+def _emptiness(blocks: _Blocks, D: np.ndarray) -> tuple[float, MixedStrategy | None]:
+    """The margin LP over the stacked rows D of a profile or prefix."""
     m_n = blocks.m_n
-    D = blocks.margin_rows(profile)
     if D.shape[0] == 0:
         probs = np.zeros(m_n)
         probs[0] = 1.0
@@ -392,25 +418,52 @@ def within_simplex(s: MixedStrategy) -> MixedStrategy:
         return MixedStrategy(s.player_id, np.clip(s.probs, 0.0, 1.0))
 
 
-def enumerate_profiles(game: PolymatrixGame, work, time_limit: float | None = None):
-    """Calls ``work(combo)`` on every follower pure profile, as a tuple of
-    actions in ``game.followers`` order, in lexicographic order, and keeps
-    the results that are not None.
+def search_profiles(blocks: _Blocks, work, time_limit: float | None = None):
+    """Calls ``work(combo, D)`` on every follower pure profile whose
+    best-response region has nonempty interior, with ``combo`` the tuple of
+    actions in ``game.followers`` order and D the profile's stacked margin
+    rows, in lexicographic order, and keeps the results that are not None.
 
-    Once the time limit has passed, stops before the next profile provided
-    one result exists. Returns (results, profiles processed, truncated).
+    Depth-first over the followers: each node extends a prefix by one
+    follower's action (``_Blocks.extend``), and a prefix whose region has an
+    empty interior cuts off its whole subtree, which still counts at its
+    full size. Once the time limit has passed, stops before the next node
+    provided one result exists. Returns (results, profiles covered,
+    truncated).
     """
+    followers = blocks.followers
+    sizes = [blocks.game.num_actions(p) for p in followers]
     deadline = None if time_limit is None else time.perf_counter() + time_limit
     results = []
-    processed = 0
-    for combo in itertools.product(*[range(game.num_actions(p)) for p in game.followers]):
-        if deadline is not None and time.perf_counter() > deadline and results:
-            return results, processed, True
-        result = work(combo)
-        if result is not None:
-            results.append(result)
-        processed += 1
-    return results, processed, False
+    covered = 0
+    combo: list[int] = []
+
+    def visit(depth: int, D: np.ndarray, s: np.ndarray | None) -> bool:
+        """Searches below the prefix ``combo``; False once the deadline
+        stopped the search."""
+        nonlocal covered
+        if depth == len(followers):
+            result = work(tuple(combo), D)
+            if result is not None:
+                results.append(result)
+            covered += 1
+            return True
+        for a in range(sizes[depth]):
+            if deadline is not None and time.perf_counter() > deadline and results:
+                return False
+            child = blocks.extend(D, s, followers[depth], a)
+            if child is None:
+                covered += math.prod(sizes[depth + 1 :])
+                continue
+            combo.append(a)
+            going = visit(depth + 1, *child)
+            combo.pop()
+            if not going:
+                return False
+        return True
+
+    truncated = not visit(0, np.zeros((0, blocks.m_n)), None)
+    return results, covered, truncated
 
 
 def solve_plfe(
@@ -420,10 +473,12 @@ def solve_plfe(
 ) -> LfeResult:
     """Pessimistic leader-follower equilibrium of a one-level tree game.
 
-    Enumerates the follower profile space in lexicographic order. Returns
-    the supremum value; the strategy is exact when the supremum is attained
-    and an additive alpha-approximation otherwise. A time limit truncates
-    the enumeration and flags the result as incomplete.
+    Searches the follower profile space depth-first in lexicographic order
+    (``search_profiles``), solving a max-min LP on each profile whose region
+    has nonempty interior. Returns the supremum value; the strategy is exact
+    when the supremum is attained and an additive alpha-approximation
+    otherwise. A time limit truncates the search and flags the result as
+    incomplete.
     """
     if not game.is_one_level_tree():
         raise GameClassError("pessimistic solver requires a one-level tree game")
@@ -433,26 +488,12 @@ def solve_plfe(
     ties = TieSets.for_game(game)
     blocks = _Blocks(game, ties)
 
-    # sound per-follower prefilter: a profile can only survive the joint
-    # interior check if each chosen action's own region is full-dimensional
-    strict_ok = {
-        p: [blocks.action_strict_eps(p, a) > EPS_TOL for a in range(game.num_actions(p))]
-        for p in followers
-    }
-
-    def work(combo):
-        if not all(strict_ok[p][a] for p, a in zip(followers, combo)):
-            return None
-        profile = dict(zip(followers, combo))
-        if len(followers) > 1:  # one follower: the prefilter was the full check
-            eps, _ = _emptiness(blocks, profile)
-            if eps <= EPS_TOL:
-                return None
-        v, s, zeta = _max_min(blocks, profile)
+    def work(combo, D):
+        v, s, zeta = _max_min(blocks, dict(zip(followers, combo)))
         raw_beta = any(z <= ZETA_TOL for z in zeta.values()) if zeta else False
         return (v, combo, s, raw_beta)
 
-    survivors, processed, truncated = enumerate_profiles(game, work, time_limit)
+    survivors, processed, truncated = search_profiles(blocks, work, time_limit)
     if not survivors:
         raise SolverFailure(
             "no follower profile has a full-dimensional best-response region; "
