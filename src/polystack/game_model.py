@@ -339,10 +339,17 @@ def game_from_json_dict(data: dict) -> tuple[PolymatrixGame, dict[int, int] | No
     for pl in players:
         actions[mapping[int(pl["id"])]] = tuple(str(a) for a in pl["actions"])
     edges = {}
-    for e in raw_edges:
-        p, q = mapping[int(e["p"])], mapping[int(e["q"])]
-        mp = np.array(e["payoff_p"], dtype=float)
-        mq = np.array(e["payoff_q"], dtype=float)
+    for i, e in enumerate(raw_edges):
+        try:
+            ends = [int(e["p"]), int(e["q"])]
+            mp = np.array(e["payoff_p"], dtype=float)
+            mq = np.array(e["payoff_q"], dtype=float)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed edge {i}: missing {exc}") from exc
+        for end in ends:
+            if end not in mapping:
+                raise ValueError(f"edge {i} names unknown player {end}")
+        p, q = (mapping[end] for end in ends)
         if p > q:
             p, q = q, p
             mp, mq = mq.T, mp.T

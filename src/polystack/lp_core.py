@@ -12,7 +12,6 @@ with inequality and equality rows, returning a vertex optimum.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -23,7 +22,6 @@ _PIVOT_TOL = 1e-9
 _FEAS_TOL = 1e-7
 
 # counts calls into the simplex core; used by tests asserting LP budgets
-_counter_lock = threading.Lock()
 _solve_count = 0
 
 
@@ -33,8 +31,7 @@ def lp_solve_count() -> int:
 
 def reset_lp_solve_count() -> None:
     global _solve_count
-    with _counter_lock:
-        _solve_count = 0
+    _solve_count = 0
 
 
 class LpStatus(Enum):
@@ -102,8 +99,7 @@ def maximize(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> DenseResult:
     """Maximize ``c @ x`` over ``x >= 0`` subject to ``A_ub x <= b_ub`` and
     ``A_eq x == b_eq``. Returns a vertex optimum."""
     global _solve_count
-    with _counter_lock:
-        _solve_count += 1
+    _solve_count += 1
 
     c = np.asarray(c, dtype=float)
     n = c.shape[0]

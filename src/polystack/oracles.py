@@ -24,13 +24,14 @@ from .game_model import (
 
 _GRID_GUARD = 10_000_000
 _BREAKPOINT_TOL = 1e-12
+_STRICT_TOL = 1e-9
 
 
 @dataclass
 class GridResult:
     value: float
     strategy: MixedStrategy
-    skipped: int = 0  # grid points with no pure follower equilibrium
+    skipped: int = 0  # grid points with no counted pure follower equilibrium
 
 
 def _simplex_grid(k: int, m: int):
@@ -53,13 +54,42 @@ def _leader_utility(game: PolymatrixGame, probs: np.ndarray, profile: dict[int, 
     return total
 
 
+def _strictly_stable(game: PolymatrixGame, probs: np.ndarray, profile: dict[int, int]) -> bool:
+    """Whether every follower deviation from the profile that changes the
+    deviator's payoff, as a function of the leader's strategy, makes it
+    worse by more than _STRICT_TOL at probs. The profile is then a pure
+    equilibrium on a full-dimensional region around probs."""
+    for p in game.followers:
+        a_p = profile[p]
+        for a2 in range(game.num_actions(p)):
+            if a2 == a_p:
+                continue
+            dv = np.zeros(len(probs))
+            stay = leave = 0.0
+            for q in game.neighbors(p):
+                own, _ = game.edge_payoffs(p, q)  # [a_p][a_q]
+                if q == game.leader:
+                    dv = own[a_p] - own[a2]
+                else:
+                    stay += own[a_p, profile[q]]
+                    leave += own[a2, profile[q]]
+            d0 = stay - leave
+            if (dv.any() or d0 != 0.0) and float(dv @ probs) + d0 <= _STRICT_TOL:
+                return False
+    return True
+
+
 def grid_oracle(game: PolymatrixGame, k: int, mode: str = "pessimistic") -> GridResult:
     """Best leader value over all strategies with probabilities that are
     multiples of 1/k. A lower-bound witness for the true supremum.
 
     One-level trees are evaluated exactly per follower; general games use
     pure-equilibrium enumeration, skipping points where none exists (the
-    worst / best equilibrium defines the point's value).
+    worst / best equilibrium defines the point's value). In optimistic mode
+    a general game's point counts only the equilibria that every
+    payoff-changing deviation leaves strictly (``_strictly_stable``): the
+    optimistic solver keeps only profiles whose region is full-dimensional,
+    and an equilibrium on a measure-zero region would overstate its value.
     """
     if mode not in ("pessimistic", "optimistic"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -80,6 +110,8 @@ def grid_oracle(game: PolymatrixGame, k: int, mode: str = "pessimistic") -> Grid
             v, _ = evaluate_commitment(game, s, mode)
         else:
             profiles = enumerate_pure_ne(game, s)
+            if mode == "optimistic":
+                profiles = [a for a in profiles if _strictly_stable(game, probs, a)]
             if not profiles:
                 skipped += 1
                 continue

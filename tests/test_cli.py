@@ -9,7 +9,7 @@ import pytest
 
 from polystack.cli import dumps_canonical, run
 from polystack.game_model import game_to_json_dict
-from polystack.instance_gen import random_oltpg
+from polystack.instance_gen import CnfFormula, random_oltpg, sat_to_pg_olfe
 
 
 @pytest.fixture
@@ -153,6 +153,28 @@ class TestMalformedGame:
         game, strategy = self.write(tmp_path, edit)
         self.assert_rejected(capsys, game, strategy, "edge (2,3) payoff_q has non-finite entries")
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [("p", 7, "edge 0 names unknown player 7"), ("payoff_q", None, "malformed edge 0: missing 'payoff_q'")],
+    )
+    def test_unreadable_edge(self, capsys, tmp_path, field, value, message):
+        def edit(edges):
+            if value is None:
+                del edges[0][field]
+            else:
+                edges[0][field] = value
+
+        game, _ = self.write(tmp_path, edit)
+        for argv in (
+            ["validate", game],
+            ["solve", "--mode", "pessimistic", game],
+            ["solve", "--mode", "pure-olfe", game],
+        ):
+            assert run(argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and message in captured.err, argv
+
 
 class TestGenerate:
     def test_random_deterministic(self, capsys):
@@ -236,6 +258,22 @@ class TestVerify:
         )
         assert code == 1
         assert json.loads(out)["ok"] is False
+
+    def test_grid_accepts_pure_olfe_on_unsat_formula(self, capsys, tmp_path):
+        cnf = CnfFormula(1, ((1, 1, 1), (-1, -1, -1), (1, 1, 1)))
+        game = tmp_path / "sat.json"
+        game.write_text(json.dumps(game_to_json_dict(sat_to_pg_olfe(cnf, 0.01))))
+        code, solved = run_out(capsys, ["solve", "--mode", "pure-olfe", str(game)])
+        assert code == 0
+        res = tmp_path / "r.json"
+        res.write_text(solved)
+        code, out = run_out(
+            capsys, ["verify", "--against", "grid", "--resolution", "4", str(game), str(res)]
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["ok"] is True
+        assert data["checks"][0]["grid_value"] == pytest.approx(0.01)
 
     def test_1d_oracle(self, capsys, tmp_path):
         game = tmp_path / "g2.json"

@@ -93,3 +93,12 @@ class TestSolveOlfe:
             s = MixedStrategy(g.leader, probs)
             nes = enumerate_pure_ne(g, s)
             assert {p: 0 for p in g.followers} in nes
+
+    def test_time_limit_truncates(self):
+        g = random_oltpg(5, 6, 7)
+        r = solve_olfe(g, time_limit=1e-4)
+        assert not r.anytime_complete
+        assert r.profiles_enumerated < 6**4
+        full = solve_olfe(g)
+        assert full.anytime_complete and full.profiles_enumerated == 6**4
+        assert full.value >= r.value - 1e-9

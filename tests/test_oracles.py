@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from polystack.game_model import MixedStrategy, PolymatrixGame
-from polystack.instance_gen import random_oltpg
+from polystack.instance_gen import CnfFormula, random_oltpg, sat_to_pg_olfe
+from polystack.olfe_solver import solve_olfe
 from polystack.oracles import (
     Graph,
     GridResult,
@@ -55,6 +56,23 @@ class TestGridOracle:
         )
         with pytest.raises(ValueError, match="no grid point"):
             grid_oracle(g, 4)
+
+    def test_optimistic_general_skips_measure_zero_equilibria(self):
+        # unsatisfiable formula: the profiles worth 1 to the leader are pure
+        # equilibria only on measure-zero regions, which OLFE drops
+        g = sat_to_pg_olfe(CnfFormula(1, ((1, 1, 1), (-1, -1, -1), (1, 1, 1))), 0.01)
+        assert grid_oracle(g, 4, "optimistic").value == pytest.approx(0.01)
+        assert solve_olfe(g).value == pytest.approx(0.01)
+
+    def test_optimistic_general_bounds_olfe(self):
+        rng = np.random.default_rng(11)
+        for _ in range(6):
+            clauses = tuple(
+                tuple(int(v * s) for v, s in zip(rng.integers(1, 4, 3), rng.choice((-1, 1), 3)))
+                for _ in range(3)
+            )
+            g = sat_to_pg_olfe(CnfFormula(3, clauses), 0.01)
+            assert grid_oracle(g, 4, "optimistic").value <= solve_olfe(g).value + 1e-9
 
     def test_bad_mode_and_resolution(self, star3_game):
         with pytest.raises(ValueError):

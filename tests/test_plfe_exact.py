@@ -1,14 +1,22 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
+from polystack.bayesian_bridge import BayesianGame, FollowerType, bg_to_polymatrix
 from polystack.game_model import MixedStrategy, PolymatrixGame, evaluate_commitment
 from polystack.instance_gen import clique_to_spg, random_oltpg
+from polystack.olfe_solver import solve_olfe
 from polystack.oracles import Graph, grid_oracle, supremum_1d
 from polystack.plfe_exact import (
+    EPS_TOL,
     TieSets,
+    _Blocks,
     attainment_flag,
     emptiness_check,
     find_apx,
+    search_profiles,
     solve_max_min,
     solve_plfe,
 )
@@ -229,3 +237,75 @@ class TestSolvePlfe:
     def test_diagnostics_present(self, knife_edge_game):
         r = solve_plfe(knife_edge_game)
         assert "raw_beta" in r.diagnostics and "robust_beta" in r.diagnostics
+
+
+def _bayesian_game(seed):
+    rng = np.random.default_rng(seed)
+    types = 2 + seed % 3
+    probs = rng.dirichlet(np.ones(types))
+    probs[-1] = 1.0 - probs[:-1].sum()
+    kinds = [
+        FollowerType(f"t{i}", float(probs[i]), rng.uniform(0, 100, (3, 3)), rng.uniform(0, 100, (3, 3)))
+        for i in range(types)
+    ]
+    return bg_to_polymatrix(BayesianGame(("l0", "l1", "l2"), ("f0", "f1", "f2"), tuple(kinds), "interdependent"))
+
+
+def _search_games():
+    for n in range(3, 7):
+        for m in range(2, 6):
+            for seed in range(3):
+                yield pytest.param(random_oltpg(n, m, seed), id=f"random-{n}-{m}-{seed}")
+    for graph in (
+        Graph(3, ((1, 2), (2, 3))),
+        Graph(4, ((1, 2), (2, 3), (3, 4))),
+        Graph(5, ((1, 2), (2, 3), (3, 4), (4, 5), (1, 3))),
+    ):
+        yield pytest.param(clique_to_spg(graph), id=f"clique-{graph.vertices}")
+    for seed in range(5):
+        yield pytest.param(_bayesian_game(seed), id=f"bayes-{seed}")
+
+
+def _flat_survivors(game):
+    """Every profile, in lexicographic order, whose region the public
+    interior check finds full-dimensional."""
+    ties = TieSets.for_game(game)
+    followers = game.followers
+    return [
+        combo
+        for combo in itertools.product(*[range(game.num_actions(p)) for p in followers])
+        if emptiness_check(game, dict(zip(followers, combo)), ties)[0] > EPS_TOL
+    ]
+
+
+class TestSearchProfiles:
+    @pytest.mark.parametrize("game", list(_search_games()))
+    def test_survivors_match_flat_reference(self, game):
+        flat = _flat_survivors(game)
+        blocks = _Blocks(game, TieSets.for_game(game))
+        found, covered, truncated = search_profiles(blocks, lambda combo, D: combo)
+        assert found == flat  # same profiles, same lexicographic order
+        total = math.prod(game.num_actions(p) for p in game.followers)
+        assert covered == total and not truncated
+        assert solve_plfe(game).diagnostics["survivors"] == len(flat)
+        assert solve_olfe(game).diagnostics["inducible_profiles"] == len(flat)
+
+    def test_pruned_subtree_counts_at_full_size(self):
+        # follower 1's action 2 is strictly dominated: its region is empty,
+        # so the search cuts off the 3 * 4 profiles below it at depth one
+        rng = np.random.default_rng(3)
+        sizes = {1: 3, 2: 3, 3: 4}
+        edges = {}
+        for p, m_p in sizes.items():
+            fol = rng.uniform(0, 100, (m_p, 3))
+            if p == 1:
+                fol[2] = fol[:2].min(axis=0) - 1.0
+            edges[(p, 4)] = (fol, rng.uniform(0, 100, (m_p, 3)))
+        actions = {p: tuple(f"a{j}" for j in range(m_p)) for p, m_p in sizes.items()}
+        actions[4] = ("x", "y", "z")
+        game = PolymatrixGame((1, 2, 3, 4), actions, 4, edges)
+        assert emptiness_check(game, {1: 2, 2: 0, 3: 0})[0] <= EPS_TOL
+        for solve in (solve_plfe, solve_olfe):
+            r = solve(game)
+            assert r.profiles_enumerated == 36
+            assert r.anytime_complete
