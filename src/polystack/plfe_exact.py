@@ -44,7 +44,7 @@ class TieSets:
         class_of = {}
         members = {}
         for p in game.followers:
-            M = game.follower_matrix(p)
+            M = _leader_edge(game, p)[0]
             ids = -np.ones(M.shape[0], dtype=int)
             classes: list[list[int]] = []
             for a in range(M.shape[0]):
@@ -82,69 +82,159 @@ class LfeResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _leader_edge(game: PolymatrixGame, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """U_{p,n} and U_{n,p}, both indexed [follower action][leader action];
+    zero matrices when follower p has no edge to the leader."""
+    if game.leader in game.neighbors(p):
+        return game.edge_payoffs(p, game.leader)
+    zeros = np.zeros((game.num_actions(p), game.num_actions(game.leader)))
+    return zeros, zeros
+
+
 class _Blocks:
-    """Per-(follower, action) constraint blocks shared by all four LPs."""
+    """Per-(follower, action) constraint blocks shared by all LPs.
+
+    Follower p playing a keeps each non-tied a2 at most as good as a:
+    (M[a] - M[a2]) s + d0 >= 0, with d0 p's follower-follower payoff at a
+    minus that at a2. On one-level trees d0 is zero. On general graphs it
+    depends on p's follower neighbours, so a prefix of followers bounds it
+    from above over every completion; every extension's rows then imply the
+    prefix's rows."""
 
     def __init__(self, game: PolymatrixGame, ties: TieSets):
         self.game = game
         self.ties = ties
         self.followers = game.followers
         self.m_n = game.num_actions(game.leader)
-        self.M = {p: game.follower_matrix(p) for p in self.followers}
-        self.L = {p: game.leader_matrix(p) for p in self.followers}
+        self.M, self.L = {}, {}
+        # ff[p]: (index j of q, U_pq, row maxima, row minima) per follower
+        # neighbour q in followers order, U_pq indexed [a_p][a_q]
+        self.ff: dict[int, list] = {}
+        self.last: dict[int, int] = {}  # index of p's last follower neighbour
+        index = {q: j for j, q in enumerate(self.followers)}
+        for p in self.followers:
+            self.M[p], self.L[p] = _leader_edge(game, p)
+            near = set(game.neighbors(p))
+            self.ff[p] = []
+            for q in self.followers:
+                if q in near:
+                    U = game.edge_payoffs(p, q)[0]
+                    self.ff[p].append((index[q], U, U.max(axis=1), U.min(axis=1)))
+            self.last[p] = max((j for j, *_ in self.ff[p]), default=-1)
         # diff[p][a]: rows M[a] - M[a'] over non-tied a' (strict BR margins)
         self.diff: dict[int, list[np.ndarray]] = {}
         self.non_tied: dict[int, list[list[int]]] = {}
+        self.tied: dict[int, list[list[int]]] = {}
         for p in self.followers:
-            rows_p, nt_p = [], []
+            rows_p, nt_p, t_p = [], [], []
             for a in range(game.num_actions(p)):
                 nt = ties.non_tied(p, a)
                 nt_p.append(nt)
+                t_p.append([a2 for a2 in ties.tie_set(p, a) if a2 != a])
                 rows_p.append(self.M[p][a] - self.M[p][nt] if nt else np.zeros((0, self.m_n)))
             self.diff[p] = rows_p
             self.non_tied[p] = nt_p
+            self.tied[p] = t_p
+        # free[p][a]: p's rows with no follower neighbour assigned
+        self.free = {
+            p: [self._follower_rows(i, (), a) for a in range(game.num_actions(p))]
+            for i, p in enumerate(self.followers)
+        }
         self._prefilter: dict[tuple[int, int], tuple[float, np.ndarray | None]] = {}
 
-    def margin_rows(self, profile: dict[int, int]) -> np.ndarray:
-        blocks = [self.diff[p][profile[p]] for p in self.followers]
-        return np.vstack(blocks) if blocks else np.zeros((0, self.m_n))
+    def _follower_rows(self, i: int, combo: tuple, a: int):
+        """Rows (D, d0) of the i-th follower p playing a, where combo holds
+        the actions of the first followers; d0 takes, for each unassigned
+        neighbour q, p's best payoff at a and worst at a2. None when a tied
+        action a2 (no row: the leader's commitment cannot separate it from a)
+        already beats a: its d0 bound is negative or, with every neighbour
+        assigned, no more than EPS_TOL."""
+        p = self.followers[i]
+        hi = 0.0
+        lo = np.zeros(self.game.num_actions(p))
+        for j, U, U_max, U_min in self.ff[p]:
+            if j < len(combo):
+                hi += U[a, combo[j]]
+                lo += U[:, combo[j]]
+            else:
+                hi += U_max[a]
+                lo += U_min
+        d0 = hi - lo
+        tied = d0[self.tied[p][a]]
+        if (tied < 0).any() or (
+            self.last[p] < len(combo) and ((tied > 0) & (tied <= EPS_TOL)).any()
+        ):
+            return None
+        return self.diff[p][a], d0[self.non_tied[p][a]]
+
+    def rows(self, combo: tuple):
+        """Stacked rows (D, d0) of the prefix combo of follower actions, in
+        ``game.followers`` order, or None when a tied action rules one out."""
+        blocks = []
+        for i, a in enumerate(combo):
+            block = self._follower_rows(i, combo, a)
+            if block is None:
+                return None
+            blocks.append(block)
+        if not blocks:
+            return np.zeros((0, self.m_n)), np.zeros(0)
+        return np.vstack([D for D, _ in blocks]), np.concatenate([d0 for _, d0 in blocks])
 
     def prefilter(self, p: int, a: int) -> tuple[float, np.ndarray | None]:
-        """Interior test for a single follower's region Delta_n(a), with the
-        LP's point; computed once per (follower, action)."""
+        """Interior test for a single follower's region with no follower
+        neighbour assigned, with the LP's point; computed once per
+        (follower, action)."""
         key = (p, a)
         if key not in self._prefilter:
-            self._prefilter[key] = _strict_eps_lp(self.diff[p][a], self.m_n)
+            free = self.free[p][a]
+            if free is None:
+                self._prefilter[key] = (0.0, None)
+            elif not len(free[0]):
+                self._prefilter[key] = (1.0, None)
+            else:
+                self._prefilter[key] = _strict_eps_lp(*free, self.m_n)
         return self._prefilter[key]
 
-    def extend(self, D: np.ndarray, s: np.ndarray | None, p: int, a: int):
-        """Extends a prefix of followers, whose region has stacked margin rows
-        D and interior point s, by follower p playing a. Returns the rows and
-        an interior point of the extended region, or None when its interior
-        is empty (then so is that of every profile extending it)."""
-        rows = self.diff[p][a]
-        if not len(rows):  # every other action ties with a: same region
-            return D, s
+    def extend(self, combo: tuple, D: np.ndarray, d0: np.ndarray, s: np.ndarray | None):
+        """Extends a prefix of followers, whose region has rows D s + d0 >= 0
+        and interior point s, by the next follower playing the last action
+        of combo. Returns the rows and an interior point of the extended
+        region, or None when its interior is empty (then so is that of every
+        profile extending it)."""
+        k = len(combo) - 1
+        p, a = self.followers[k], combo[k]
         eps, s_a = self.prefilter(p, a)
         if eps <= EPS_TOL:
             return None
-        if not len(D):
-            return rows, s_a
-        D = np.vstack([D, rows])
+        if any(j < k for j, *_ in self.ff[p]):
+            # assigning p tightens its own bound and its neighbours' bounds
+            rows = self.rows(combo)
+            if rows is None:
+                return None
+            D, d0 = rows
+        else:
+            rows, d0_p = self.free[p][a]
+            if not len(rows):  # no row and no bound moved: same region
+                return D, d0, s
+            if not len(D):
+                return rows, d0_p, s_a
+            D = np.vstack([D, rows])
+            d0 = np.concatenate([d0, d0_p])
+        if s is None:
+            s = s_a
         # s is feasible for the joint margin LP, whose optimum is therefore
         # at least s's smallest margin: no LP needed when that is clear
-        if (D @ s).min() > 2 * EPS_TOL:
-            return D, s
-        eps, witness = _emptiness(self, D)
+        if s is not None and (D @ s + d0).min(initial=np.inf) > 2 * EPS_TOL:
+            return D, d0, s
+        eps, witness = _emptiness(self, D, d0)
         if eps <= EPS_TOL:
             return None
-        return D, witness.probs
+        return D, d0, witness.probs
 
 
-def margin_lp(D: np.ndarray, m_n: int, d0: np.ndarray | None = None):
+def margin_lp(D: np.ndarray, m_n: int, d0: np.ndarray):
     """Arguments of ``lp_core.maximize`` for the margin LP over (s, eps):
-    max eps s.t. D s - eps >= -d0, eps <= 1, sum s = 1, s >= 0 (d0 = 0
-    when omitted)."""
+    max eps s.t. D s - eps >= -d0, eps <= 1, sum s = 1, s >= 0."""
     k = D.shape[0]
     c = np.zeros(m_n + 1)
     c[-1] = 1.0
@@ -153,16 +243,15 @@ def margin_lp(D: np.ndarray, m_n: int, d0: np.ndarray | None = None):
     A_ub[:k, -1] = 1.0
     A_ub[k, -1] = 1.0
     b_ub = np.zeros(k + 1)
-    if d0 is not None:
-        b_ub[:k] = d0
+    b_ub[:k] = d0
     b_ub[k] = 1.0
     A_eq = np.zeros((1, m_n + 1))
     A_eq[0, :m_n] = 1.0
     return c, A_ub, b_ub, A_eq, [1.0]
 
 
-def _strict_eps_lp(D: np.ndarray, m_n: int) -> tuple[float, np.ndarray | None]:
-    res = lp_core.maximize(*margin_lp(D, m_n))
+def _strict_eps_lp(D: np.ndarray, d0: np.ndarray, m_n: int) -> tuple[float, np.ndarray | None]:
+    res = lp_core.maximize(*margin_lp(D, m_n, d0))
     if res.status is lp_core.LpStatus.INFEASIBLE:
         # even eps = 0 needs D s >= 0 somewhere; empty region
         return 0.0, None
@@ -178,17 +267,20 @@ def emptiness_check(
     strict best response. Zero means the region has empty interior."""
     ties = ties or TieSets.for_game(game)
     blocks = _Blocks(game, ties)
-    return _emptiness(blocks, blocks.margin_rows(profile))
+    rows = blocks.rows(tuple(profile[p] for p in blocks.followers))
+    return (0.0, None) if rows is None else _emptiness(blocks, *rows)
 
 
-def _emptiness(blocks: _Blocks, D: np.ndarray) -> tuple[float, MixedStrategy | None]:
-    """The margin LP over the stacked rows D of a profile or prefix."""
+def _emptiness(
+    blocks: _Blocks, D: np.ndarray, d0: np.ndarray
+) -> tuple[float, MixedStrategy | None]:
+    """The margin LP over the stacked rows (D, d0) of a profile or prefix."""
     m_n = blocks.m_n
     if D.shape[0] == 0:
         probs = np.zeros(m_n)
         probs[0] = 1.0
         return 1.0, MixedStrategy(blocks.game.leader, probs)
-    res = lp_core.maximize(*margin_lp(D, m_n))
+    res = lp_core.maximize(*margin_lp(D, m_n, d0))
     if res.status is lp_core.LpStatus.INFEASIBLE:
         # the profile is nowhere a joint best response, not even weakly
         return 0.0, None
@@ -367,7 +459,7 @@ def _find_apx(blocks: _Blocks, profile: dict[int, int], v_star: float, alpha: fl
     followers = blocks.followers
     m_n = blocks.m_n
     nf = len(followers)
-    D = blocks.margin_rows(profile)
+    D, _ = blocks.rows(tuple(profile[p] for p in followers))
     k = D.shape[0]
     # columns: [s, eps, v+, v-]
     ncols = m_n + 1 + 2 * nf
@@ -419,10 +511,11 @@ def within_simplex(s: MixedStrategy) -> MixedStrategy:
 
 
 def search_profiles(blocks: _Blocks, work, time_limit: float | None = None):
-    """Calls ``work(combo, D)`` on every follower pure profile whose
+    """Calls ``work(combo, D, d0)`` on every follower pure profile whose
     best-response region has nonempty interior, with ``combo`` the tuple of
-    actions in ``game.followers`` order and D the profile's stacked margin
-    rows, in lexicographic order, and keeps the results that are not None.
+    actions in ``game.followers`` order and (D, d0) the profile's stacked
+    margin rows, in lexicographic order, and keeps the results that are not
+    None.
 
     Depth-first over the followers: each node extends a prefix by one
     follower's action (``_Blocks.extend``), and a prefix whose region has an
@@ -436,14 +529,14 @@ def search_profiles(blocks: _Blocks, work, time_limit: float | None = None):
     deadline = None if time_limit is None else time.perf_counter() + time_limit
     results = []
     covered = 0
-    combo: list[int] = []
 
-    def visit(depth: int, D: np.ndarray, s: np.ndarray | None) -> bool:
+    def visit(combo: tuple, D: np.ndarray, d0: np.ndarray, s: np.ndarray | None) -> bool:
         """Searches below the prefix ``combo``; False once the deadline
         stopped the search."""
         nonlocal covered
+        depth = len(combo)
         if depth == len(followers):
-            result = work(tuple(combo), D)
+            result = work(combo, D, d0)
             if result is not None:
                 results.append(result)
             covered += 1
@@ -451,18 +544,15 @@ def search_profiles(blocks: _Blocks, work, time_limit: float | None = None):
         for a in range(sizes[depth]):
             if deadline is not None and time.perf_counter() > deadline and results:
                 return False
-            child = blocks.extend(D, s, followers[depth], a)
+            child = blocks.extend(combo + (a,), D, d0, s)
             if child is None:
                 covered += math.prod(sizes[depth + 1 :])
                 continue
-            combo.append(a)
-            going = visit(depth + 1, *child)
-            combo.pop()
-            if not going:
+            if not visit(combo + (a,), *child):
                 return False
         return True
 
-    truncated = not visit(0, np.zeros((0, blocks.m_n)), None)
+    truncated = not visit((), *blocks.rows(()), None)
     return results, covered, truncated
 
 
@@ -488,7 +578,7 @@ def solve_plfe(
     ties = TieSets.for_game(game)
     blocks = _Blocks(game, ties)
 
-    def work(combo, D):
+    def work(combo, D, d0):
         v, s, zeta = _max_min(blocks, dict(zip(followers, combo)))
         raw_beta = any(z <= ZETA_TOL for z in zeta.values()) if zeta else False
         return (v, combo, s, raw_beta)

@@ -283,7 +283,7 @@ class TestSearchProfiles:
     def test_survivors_match_flat_reference(self, game):
         flat = _flat_survivors(game)
         blocks = _Blocks(game, TieSets.for_game(game))
-        found, covered, truncated = search_profiles(blocks, lambda combo, D: combo)
+        found, covered, truncated = search_profiles(blocks, lambda combo, D, d0: combo)
         assert found == flat  # same profiles, same lexicographic order
         total = math.prod(game.num_actions(p) for p in game.followers)
         assert covered == total and not truncated
