@@ -186,20 +186,29 @@ def bg_from_json_dict(data: dict) -> BayesianGame:
         follower_actions = [str(a) for a in data["follower_actions"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed Bayesian-game JSON: missing {exc}") from exc
+    if not isinstance(raw_types, list):
+        raise ValueError("malformed Bayesian-game JSON: types must be a list")
     shared = data.get("leader_payoff")
     types = []
-    for t in raw_types:
+    for i, t in enumerate(raw_types):
+        if not isinstance(t, dict):
+            raise ValueError(f"type {i} is not an object")
         lp = t.get("leader_payoff", shared)
         if lp is None:
             raise ValueError(f"type {t.get('name')!r} has no leader payoff")
-        types.append(
-            FollowerType(
-                name=str(t["name"]),
-                prob=float(t["prob"]),
-                follower_payoff=np.array(t["follower_payoff"], dtype=float),
-                leader_payoff=np.array(lp, dtype=float),
+        try:
+            types.append(
+                FollowerType(
+                    name=str(t["name"]),
+                    prob=float(t["prob"]),
+                    follower_payoff=np.array(t["follower_payoff"], dtype=float),
+                    leader_payoff=np.array(lp, dtype=float),
+                )
             )
-        )
+        except KeyError as exc:
+            raise ValueError(f"malformed type {i}: missing {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"malformed type {i}: {exc}") from exc
     return BayesianGame(tuple(leader_actions), tuple(follower_actions), tuple(types), kind)
 
 

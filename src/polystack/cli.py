@@ -163,6 +163,8 @@ def _cmd_classify(args) -> int:
 
 def _cmd_solve(args) -> int:
     game = _load_solvable_game(args.game)
+    if args.mode in ("pessimistic", "apx") and not 0 < args.alpha < float("inf"):
+        raise DomainError(f"alpha must be positive and finite, got {args.alpha!r}")
     try:
         if args.mode == "pessimistic":
             res = solve_plfe(game, alpha=args.alpha, time_limit=args.time_limit)
@@ -258,13 +260,18 @@ def _cmd_verify(args) -> int:
         strategy = result["strategy"]
     except (KeyError, TypeError) as exc:
         raise DomainError(f"result file is not a solve output: missing {exc}") from exc
+    except ValueError as exc:
+        raise DomainError(f"result file has a non-numeric value: {exc}") from exc
     eval_mode = "optimistic" if mode in ("optimistic", "pure-olfe") else "pessimistic"
     checks = []
     ok = True
 
     s = _checked_strategy(strategy, game)
     if game.is_one_level_tree():
-        slack = 0.0 if result.get("attained", True) else float(result.get("alpha", 0.0))
+        try:
+            slack = 0.0 if result.get("attained", True) else float(result.get("alpha", 0.0))
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"result file has a non-numeric alpha: {exc}") from exc
         got, _ = evaluate_commitment(game, s, eval_mode)
         good = got >= value - slack - 1e-7
         checks.append({"check": "strategy_reevaluates", "ok": good, "evaluated": got})

@@ -321,7 +321,17 @@ def game_from_json_dict(data: dict) -> tuple[PolymatrixGame, dict[int, int] | No
         raw_edges = data["edges"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed game JSON: missing {exc}") from exc
-    ids = [int(pl["id"]) for pl in players]
+    if not isinstance(players, list) or not isinstance(raw_edges, list):
+        raise ValueError("malformed game JSON: players and edges must be lists")
+    ids, labels = [], []
+    for i, pl in enumerate(players):
+        try:
+            ids.append(int(pl["id"]))
+            labels.append(tuple(str(a) for a in pl["actions"]))
+        except KeyError as exc:
+            raise ValueError(f"malformed player {i}: missing {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"malformed player {i}: {exc}") from exc
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate player ids")
     if leader not in ids:
@@ -335,9 +345,7 @@ def game_from_json_dict(data: dict) -> tuple[PolymatrixGame, dict[int, int] | No
         ordered = sorted(p for p in ids if p != leader) + [leader]
         mapping = {old: new for new, old in enumerate(ordered, start=1)}
         renum = dict(mapping)
-    actions = {}
-    for pl in players:
-        actions[mapping[int(pl["id"])]] = tuple(str(a) for a in pl["actions"])
+    actions = {mapping[p]: a for p, a in zip(ids, labels)}
     edges = {}
     for i, e in enumerate(raw_edges):
         try:

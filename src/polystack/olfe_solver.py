@@ -27,7 +27,7 @@ from .plfe_exact import (
     SolverFailure,
     TieSets,
     _Blocks,
-    _emptiness,
+    emptiness_check,
     search_profiles,
     within_simplex,
 )
@@ -37,12 +37,6 @@ class NoPureCommitmentError(RuntimeError):
     """No commitment induces any pure follower equilibrium (general games)."""
 
 
-def _profile_rows(game: PolymatrixGame, profile: dict[int, int]):
-    blocks = _Blocks(game, TieSets.for_game(game))
-    combo = tuple(profile[p] for p in blocks.followers)
-    return blocks, combo, blocks.rows(combo)
-
-
 def olfe_profile_lp(
     game: PolymatrixGame, profile: dict[int, int]
 ) -> tuple[float, MixedStrategy] | None:
@@ -50,7 +44,9 @@ def olfe_profile_lp(
     profile cannot be induced by any commitment (or only on a knife edge
     where a deviation with the same leader-edge payoffs gains at most
     ``EPS_TOL``)."""
-    blocks, combo, rows = _profile_rows(game, profile)
+    blocks = _Blocks(game, TieSets.for_game(game))
+    combo = tuple(profile[p] for p in blocks.followers)
+    rows = blocks.rows(combo)
     return None if rows is None else _profile_lp(blocks, combo, *rows)
 
 
@@ -71,8 +67,7 @@ def _profile_lp(blocks: _Blocks, combo: tuple, D: np.ndarray, d0: np.ndarray):
 def profile_region_epsilon(game: PolymatrixGame, profile: dict[int, int]) -> float:
     """Max strict margin over commitments for the profile's NE constraints;
     zero means the inducibility region has empty interior."""
-    blocks, _, rows = _profile_rows(game, profile)
-    return 0.0 if rows is None else _emptiness(blocks, *rows)[0]
+    return emptiness_check(game, profile)[0]
 
 
 def solve_olfe(game: PolymatrixGame, time_limit: float | None = None) -> LfeResult:

@@ -143,12 +143,12 @@ class _Blocks:
         self._prefilter: dict[tuple[int, int], tuple[float, np.ndarray | None]] = {}
 
     def _follower_rows(self, i: int, combo: tuple, a: int):
-        """Rows (D, d0) of the i-th follower p playing a, where combo holds
-        the actions of the first followers; d0 takes, for each unassigned
-        neighbour q, p's best payoff at a and worst at a2. None when a tied
-        action a2 (no row: the leader's commitment cannot separate it from a)
-        already beats a: its d0 bound is negative or, with every neighbour
-        assigned, no more than EPS_TOL."""
+        """Rows (D, d0) of the i-th follower p playing a, given the actions
+        combo of the first followers. For each neighbour q outside combo, d0
+        counts p's best payoff at a and her worst at a2, so it bounds d0 from
+        above over every completion. None when a tied action a2 (no row: no
+        commitment separates it from a) already rules a out: its bound is
+        negative or, once every neighbour is assigned, at most EPS_TOL."""
         p = self.followers[i]
         hi = 0.0
         lo = np.zeros(self.game.num_actions(p))

@@ -73,6 +73,13 @@ class TestSolve:
         data = json.loads(out)
         assert {"subgame_value", "best_follower", "certified_lower_bound"} <= set(data)
 
+    @pytest.mark.parametrize("mode,alpha", [("pessimistic", "0"), ("apx", "-1")])
+    def test_nonpositive_alpha_is_domain_error(self, capsys, game_file, mode, alpha):
+        assert run(["solve", "--mode", mode, "--alpha", alpha, game_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: alpha must be positive")
+
     def test_threads_byte_identical(self, capsys, game_file):
         _, a = run_out(capsys, ["solve", "--mode", "pessimistic", "--threads", "1", game_file])
         _, b = run_out(capsys, ["solve", "--mode", "pessimistic", "--threads", "4", game_file])
@@ -175,6 +182,30 @@ class TestMalformedGame:
             assert captured.out == ""
             assert captured.err.startswith("error: ") and message in captured.err, argv
 
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda data: data["players"][0].pop("id"), "malformed player 0: missing 'id'"),
+            (lambda data: data["players"][1].pop("actions"), "malformed player 1: missing 'actions'"),
+            (lambda data: data.update(players=5), "players and edges must be lists"),
+        ],
+        ids=["no-id", "no-actions", "players-not-list"],
+    )
+    def test_unreadable_player(self, capsys, tmp_path, edit, message):
+        data = game_to_json_dict(random_oltpg(3, 2, 0))
+        edit(data)
+        game = tmp_path / "bad.json"
+        game.write_text(json.dumps(data))
+        for argv in (
+            ["validate", str(game)],
+            ["solve", "--mode", "pessimistic", str(game)],
+            ["solve", "--mode", "pure-olfe", str(game)],
+        ):
+            assert run(argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and message in captured.err, argv
+
 
 class TestGenerate:
     def test_random_deterministic(self, capsys):
@@ -235,6 +266,28 @@ class TestConvert:
         path.write_text(json.dumps(data))
         assert run(["convert", "--to", "bayesian", str(path)]) == 1
 
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (
+                lambda t: {k: v for k, v in t.items() if k != "follower_payoff"},
+                "malformed type 0: missing 'follower_payoff'",
+            ),
+            (lambda t: "not an object", "type 0 is not an object"),
+        ],
+        ids=["no-follower-payoff", "type-not-object"],
+    )
+    def test_unreadable_bayesian_type(self, capsys, game_file, tmp_path, edit, message):
+        _, bg = run_out(capsys, ["convert", "--to", "bayesian", game_file])
+        data = json.loads(bg)
+        data["types"][0] = edit(data["types"][0])
+        path = tmp_path / "bg.json"
+        path.write_text(json.dumps(data))
+        assert run(["convert", "--to", "polymatrix", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+
 
 class TestVerify:
     def test_grid_pass(self, capsys, game_file, tmp_path):
@@ -286,6 +339,20 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["ok"] is True
 
+
+    @pytest.mark.parametrize("field", ["value", "alpha"])
+    def test_non_numeric_field_is_domain_error(self, capsys, game_file, tmp_path, field):
+        _, solved = run_out(capsys, ["solve", "--mode", "pessimistic", game_file])
+        data = json.loads(solved)
+        data["attained"] = False  # verify reads alpha only for an unattained supremum
+        data[field] = "abc"
+        res = tmp_path / "r.json"
+        res.write_text(json.dumps(data))
+        code = run(["verify", "--against", "grid", "--resolution", "4", game_file, str(res)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: result file has a non-numeric")
 
     def test_invalid_strategy_is_domain_error(self, capsys, game_file, tmp_path):
         _, solved = run_out(capsys, ["solve", "--mode", "pessimistic", game_file])

@@ -102,3 +102,13 @@ class TestSolveOlfe:
         full = solve_olfe(g)
         assert full.anytime_complete and full.profiles_enumerated == 6**4
         assert full.value >= r.value - 1e-9
+
+    def test_time_limit_truncates_general_graph(self):
+        cnf = CnfFormula(3, ((1, 2, 3), (-1, 2, -3), (1, -2, 3), (-1, -2, -3), (2, 3, 1), (-2, 1, 3)))
+        g = sat_to_pg_olfe(cnf, 0.01)
+        r = solve_olfe(g, time_limit=1e-4)
+        assert not r.anytime_complete
+        assert r.profiles_enumerated < 4**6
+        full = solve_olfe(g)
+        assert full.anytime_complete and full.profiles_enumerated == 4**6
+        assert full.value >= r.value - 1e-9

@@ -6,8 +6,15 @@ import pytest
 
 from polystack.bayesian_bridge import BayesianGame, FollowerType, bg_to_polymatrix
 from polystack.game_model import MixedStrategy, PolymatrixGame, evaluate_commitment
-from polystack.instance_gen import clique_to_spg, random_oltpg
-from polystack.olfe_solver import solve_olfe
+from polystack.instance_gen import (
+    CnfFormula,
+    clique_to_spg,
+    random_oltpg,
+    sat_to_pg_olfe,
+    sat_to_pg_plfe,
+)
+from polystack.lp_core import LpStatus, maximize
+from polystack.olfe_solver import NoPureCommitmentError, solve_olfe
 from polystack.oracles import Graph, grid_oracle, supremum_1d
 from polystack.plfe_exact import (
     EPS_TOL,
@@ -278,6 +285,75 @@ def _flat_survivors(game):
     ]
 
 
+def _general_game(seed):
+    """Random polymatrix game on a random graph with payoffs in {0, 1, 2},
+    so actions tie; some followers have no edge to the leader."""
+    rng = np.random.default_rng(seed)
+    nf = 2 + seed % 4
+    n = nf + 1
+    actions = {p: tuple(f"a{j}" for j in range(rng.integers(2, 4))) for p in range(1, n)}
+    actions[n] = tuple(f"l{j}" for j in range(2 + seed % 3))
+    edges = {}
+    for p, q in itertools.combinations(range(1, n + 1), 2):
+        if rng.random() < (0.8 if q == n else 0.6):
+            shape = (len(actions[p]), len(actions[q]))
+            edges[(p, q)] = (rng.integers(0, 3, shape).astype(float), rng.integers(0, 3, shape).astype(float))
+    return PolymatrixGame(tuple(range(1, n + 1)), actions, n, edges)
+
+
+def _general_games():
+    for name, cnf in (
+        ("sat", CnfFormula(3, ((1, 2, 3), (-1, 2, 3), (1, -2, -3)))),
+        ("unsat", CnfFormula(1, ((1, 1, 1), (-1, -1, -1), (1, 1, 1)))),
+        ("repeated-literal", CnfFormula(2, ((1, 2, 1), (-1, 2, 2), (1, -2, 1)))),
+    ):
+        yield pytest.param(sat_to_pg_olfe(cnf, 0.01), id=f"sat-olfe-{name}")
+    yield pytest.param(sat_to_pg_plfe(CnfFormula(2, ((1, -2, 2),)), 0.01), id="sat-plfe")
+    for seed in range(12):
+        yield pytest.param(_general_game(seed), id=f"general-{seed}")
+
+
+def _flat_inducible(game):
+    """Every profile, in lexicographic order, whose inducibility region has
+    nonempty interior, with the leader's best value on it. A profile's rows
+    come straight from ``game.edge_payoffs``: for each deviation a2 of each
+    follower p, D s + d0 >= 0 with D the difference of p's leader-edge
+    rows and d0 that of p's follower-follower payoffs."""
+    followers = game.followers
+    m_n = game.num_actions(game.leader)
+    own = {}
+    for p in followers:
+        for q in game.neighbors(p):
+            own[(p, q)] = game.edge_payoffs(p, q)[0]
+    out = []
+    for combo in itertools.product(*[range(game.num_actions(p)) for p in followers]):
+        profile = dict(zip(followers, combo))
+        rows, consts = [], []
+        objective = np.zeros(m_n)
+        for p in followers:
+            a = profile[p]
+            lead = own.get((p, game.leader), np.zeros((game.num_actions(p), m_n)))
+            if (p, game.leader) in own:
+                objective += game.edge_payoffs(p, game.leader)[1][a]
+            for a2 in range(game.num_actions(p)):
+                dv = lead[a] - lead[a2]
+                d0 = sum(own[(p, q)][a, profile[q]] - own[(p, q)][a2, profile[q]]
+                         for q in followers if (p, q) in own)
+                if a2 != a and ((dv != 0).any() or d0 != 0):
+                    rows.append(dv)
+                    consts.append(d0)
+        D = np.array(rows).reshape(-1, m_n)
+        # max eps s.t. D s + d0 >= eps, eps <= 1, s in the simplex
+        A_ub = np.vstack([np.hstack([-D, np.ones((len(D), 1))]), np.eye(1, m_n + 1, m_n)])
+        b_ub = np.append(consts, 1.0)
+        A_eq = np.append(np.ones(m_n), 0.0)[None]
+        res = maximize(np.eye(1, m_n + 1, m_n)[0], A_ub, b_ub, A_eq, [1.0])
+        if res.status is LpStatus.OPTIMAL and res.objective > EPS_TOL:
+            best = maximize(objective, -D if len(D) else None, consts or None, np.ones((1, m_n)), [1.0])
+            out.append((combo, best.objective))
+    return out
+
+
 class TestSearchProfiles:
     @pytest.mark.parametrize("game", list(_search_games()))
     def test_survivors_match_flat_reference(self, game):
@@ -309,3 +385,23 @@ class TestSearchProfiles:
             r = solve(game)
             assert r.profiles_enumerated == 36
             assert r.anytime_complete
+
+    @pytest.mark.parametrize("game", list(_general_games()))
+    def test_general_graph_matches_flat_reference(self, game):
+        flat = _flat_inducible(game)
+        blocks = _Blocks(game, TieSets.for_game(game))
+        found, covered, truncated = search_profiles(blocks, lambda combo, D, d0: combo)
+        assert found == [combo for combo, _ in flat]
+        total = math.prod(game.num_actions(p) for p in game.followers)
+        assert covered == total and not truncated
+        if not flat:
+            with pytest.raises(NoPureCommitmentError):
+                solve_olfe(game)
+            return
+        r = solve_olfe(game)
+        assert r.diagnostics["inducible_profiles"] == len(flat)
+        assert r.profiles_enumerated == total
+        best = max(v for _, v in flat)
+        assert r.value == pytest.approx(best, abs=1e-9)
+        first = next(combo for combo, v in flat if v >= best - 1e-9)
+        assert r.profile == dict(zip(game.followers, first))
