@@ -110,7 +110,6 @@ class _Blocks:
         # ff[p]: (index j of q, U_pq, row maxima, row minima) per follower
         # neighbour q in followers order, U_pq indexed [a_p][a_q]
         self.ff: dict[int, list] = {}
-        self.last: dict[int, int] = {}  # index of p's last follower neighbour
         index = {q: j for j, q in enumerate(self.followers)}
         for p in self.followers:
             self.M[p], self.L[p] = _leader_edge(game, p)
@@ -120,7 +119,6 @@ class _Blocks:
                 if q in near:
                     U = game.edge_payoffs(p, q)[0]
                     self.ff[p].append((index[q], U, U.max(axis=1), U.min(axis=1)))
-            self.last[p] = max((j for j, *_ in self.ff[p]), default=-1)
         # diff[p][a]: rows M[a] - M[a'] over non-tied a' (strict BR margins)
         self.diff: dict[int, list[np.ndarray]] = {}
         self.non_tied: dict[int, list[list[int]]] = {}
@@ -150,6 +148,8 @@ class _Blocks:
         commitment separates it from a) already rules a out: its bound is
         negative or, once every neighbour is assigned, at most EPS_TOL."""
         p = self.followers[i]
+        if not self.ff[p]:  # a one-level tree's follower: d0 is zero
+            return self.diff[p][a], np.zeros(len(self.non_tied[p][a]))
         hi = 0.0
         lo = np.zeros(self.game.num_actions(p))
         for j, U, U_max, U_min in self.ff[p]:
@@ -162,7 +162,7 @@ class _Blocks:
         d0 = hi - lo
         tied = d0[self.tied[p][a]]
         if (tied < 0).any() or (
-            self.last[p] < len(combo) and ((tied > 0) & (tied <= EPS_TOL)).any()
+            self.ff[p][-1][0] < len(combo) and ((tied > 0) & (tied <= EPS_TOL)).any()
         ):
             return None
         return self.diff[p][a], d0[self.non_tied[p][a]]
@@ -206,7 +206,7 @@ class _Blocks:
         eps, s_a = self.prefilter(p, a)
         if eps <= EPS_TOL:
             return None
-        if any(j < k for j, *_ in self.ff[p]):
+        if self.ff[p] and self.ff[p][0][0] < k:
             # assigning p tightens its own bound and its neighbours' bounds
             rows = self.rows(combo)
             if rows is None:
