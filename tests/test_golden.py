@@ -1,0 +1,89 @@
+"""Byte-for-byte check of ``solve`` output against stored stdout.
+
+``tests/data/solve_golden.json`` holds, per game and mode, the stdout of
+``polystack solve`` recorded on the code that produced it. A refactor
+that must not change any answer keeps every entry equal. When a change
+is meant to alter output, rewrite the file with
+``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from polystack.bayesian_bridge import BayesianGame, FollowerType, bg_to_polymatrix
+from polystack.cli import run
+from polystack.game_model import PolymatrixGame, game_to_json_dict
+from polystack.instance_gen import CnfFormula, clique_to_spg, random_oltpg, sat_to_pg_olfe
+from polystack.oracles import Graph
+
+GOLDEN = Path(__file__).parent / "data" / "solve_golden.json"
+TREE_MODES = ("pessimistic", "optimistic", "apx", "pure-olfe")
+
+
+def _rounded_tree():
+    """random_oltpg(4, 3, 906) with every payoff x mapped to round(x / 50):
+    follower 2's actions 0 and 2 tie on the leader edge, and the
+    pessimistic supremum is not attained."""
+    g = random_oltpg(4, 3, 906)
+    edges = {key: tuple(np.round(m / 50) for m in mats) for key, mats in g.edges.items()}
+    return PolymatrixGame(g.player_ids, g.actions, g.leader, edges)
+
+
+def _bayesian(seed, types):
+    rng = np.random.default_rng(seed)
+    probs = rng.dirichlet(np.ones(types))
+    probs[-1] = 1.0 - probs[:-1].sum()
+    kinds = tuple(
+        FollowerType(f"t{i}", float(probs[i]), rng.uniform(0, 100, (3, 3)), rng.uniform(0, 100, (3, 3)))
+        for i in range(types)
+    )
+    return bg_to_polymatrix(BayesianGame(("l0", "l1", "l2"), ("f0", "f1", "f2"), kinds, "interdependent"))
+
+
+def cases():
+    """(name, game, modes) of every stored solve."""
+    for n in range(3, 6):
+        for m in range(2, 5):
+            yield f"random-{n}x{m}", random_oltpg(n, m, 0), TREE_MODES
+    yield "spg-4x3", random_oltpg(4, 3, 0, kind="spg"), TREE_MODES
+    yield "spg-5x2", random_oltpg(5, 2, 1, kind="spg"), TREE_MODES
+    yield "rounded-4x3-906", _rounded_tree(), TREE_MODES
+    yield "clique-P4", clique_to_spg(Graph(4, ((1, 2), (2, 3), (3, 4)))), TREE_MODES
+    yield "bayes-2t", _bayesian(0, 2), TREE_MODES
+    yield "bayes-3t", _bayesian(1, 3), TREE_MODES
+    cnf = CnfFormula(3, ((1, 2, 3), (-1, 2, 3), (1, -2, -3)))
+    yield "sat-olfe", sat_to_pg_olfe(cnf, 0.01), ("pure-olfe",)
+
+
+def solve_stdout(tmp_path, game, mode):
+    """Exit code and stdout of ``polystack solve --mode mode`` on game."""
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(game_to_json_dict(game)))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(["solve", "--mode", mode, str(path)])
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name,game,modes", [pytest.param(*c, id=c[0]) for c in cases()])
+def test_solve_stdout_matches_golden(tmp_path, name, game, modes):
+    golden = json.loads(GOLDEN.read_text())[name]
+    assert sorted(golden) == sorted(modes)
+    for mode in modes:
+        assert solve_stdout(tmp_path, game, mode) == (0, golden[mode]), f"{name} --mode {mode}"
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        data = {
+            name: {mode: solve_stdout(Path(tmp), game, mode)[1] for mode in modes}
+            for name, game, modes in cases()
+        }
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
