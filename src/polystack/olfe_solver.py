@@ -25,9 +25,7 @@ from .plfe_exact import (
     VALUE_TIE_TOL,
     LfeResult,
     SolverFailure,
-    TieSets,
     _Blocks,
-    emptiness_check,
     search_profiles,
     within_simplex,
 )
@@ -44,7 +42,7 @@ def olfe_profile_lp(
     profile cannot be induced by any commitment (or only on a knife edge
     where a deviation with the same leader-edge payoffs gains at most
     ``EPS_TOL``)."""
-    blocks = _Blocks(game, TieSets.for_game(game))
+    blocks = _Blocks(game)
     combo = tuple(profile[p] for p in blocks.followers)
     rows = blocks.rows(combo)
     return None if rows is None else _profile_lp(blocks, combo, *rows)
@@ -64,12 +62,6 @@ def _profile_lp(blocks: _Blocks, combo: tuple, D: np.ndarray, d0: np.ndarray):
     return float(res.objective), MixedStrategy(blocks.game.leader, res.x)
 
 
-def profile_region_epsilon(game: PolymatrixGame, profile: dict[int, int]) -> float:
-    """Max strict margin over commitments for the profile's NE constraints;
-    zero means the inducibility region has empty interior."""
-    return emptiness_check(game, profile)[0]
-
-
 def solve_olfe(game: PolymatrixGame, time_limit: float | None = None) -> LfeResult:
     """Optimistic equilibrium: max over inducible follower profiles of the
     per-profile LP. The optimum is always attained.
@@ -77,7 +69,7 @@ def solve_olfe(game: PolymatrixGame, time_limit: float | None = None) -> LfeResu
     Searches the profiles depth-first (``search_profiles``), pruning every
     prefix whose region is already empty. A time limit truncates the search
     and flags the result as incomplete."""
-    blocks = _Blocks(game, TieSets.for_game(game))
+    blocks = _Blocks(game)
 
     def best_commitment(combo, D, d0):
         got = _profile_lp(blocks, combo, D, d0)

@@ -32,45 +32,6 @@ class SolverFailure(RuntimeError):
 
 
 @dataclass
-class TieSets:
-    """Per follower: equivalence classes of actions with bitwise-identical
-    leader-indexed payoff vectors."""
-
-    class_of: dict[int, np.ndarray]  # follower -> class id per action
-    members: dict[int, list[list[int]]]  # follower -> class id -> actions
-
-    @classmethod
-    def for_game(cls, game: PolymatrixGame) -> "TieSets":
-        class_of = {}
-        members = {}
-        for p in game.followers:
-            M = _leader_edge(game, p)[0]
-            ids = -np.ones(M.shape[0], dtype=int)
-            classes: list[list[int]] = []
-            for a in range(M.shape[0]):
-                if ids[a] >= 0:
-                    continue
-                cid = len(classes)
-                group = [a]
-                ids[a] = cid
-                for b in range(a + 1, M.shape[0]):
-                    if ids[b] < 0 and np.array_equal(M[a], M[b]):
-                        ids[b] = cid
-                        group.append(b)
-                classes.append(group)
-            class_of[p] = ids
-            members[p] = classes
-        return cls(class_of, members)
-
-    def tie_set(self, p: int, a_p: int) -> list[int]:
-        return list(self.members[p][self.class_of[p][a_p]])
-
-    def non_tied(self, p: int, a_p: int) -> list[int]:
-        cid = self.class_of[p][a_p]
-        return [a for a in range(len(self.class_of[p])) if self.class_of[p][a] != cid]
-
-
-@dataclass
 class LfeResult:
     value: float
     strategy: MixedStrategy
@@ -92,7 +53,13 @@ def _leader_edge(game: PolymatrixGame, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Blocks:
-    """Per-(follower, action) constraint blocks shared by all LPs.
+    """Per-(follower, action) rows shared by every per-profile LP.
+
+    Actions of follower p tie when their leader-edge rows M[p][a] are
+    exactly equal, with no tolerance: no commitment separates them, so a
+    pessimistic follower breaks the tie against the leader. tie_set[p][a]
+    lists a's tie class, a included, in ascending order; non_tied[p][a]
+    lists the other actions.
 
     Follower p playing a keeps each non-tied a2 at most as good as a:
     (M[a] - M[a2]) s + d0 >= 0, with d0 p's follower-follower payoff at a
@@ -101,9 +68,8 @@ class _Blocks:
     from above over every completion; every extension's rows then imply the
     prefix's rows."""
 
-    def __init__(self, game: PolymatrixGame, ties: TieSets):
+    def __init__(self, game: PolymatrixGame):
         self.game = game
-        self.ties = ties
         self.followers = game.followers
         self.m_n = game.num_actions(game.leader)
         self.M, self.L = {}, {}
@@ -119,20 +85,22 @@ class _Blocks:
                 if q in near:
                     U = game.edge_payoffs(p, q)[0]
                     self.ff[p].append((index[q], U, U.max(axis=1), U.min(axis=1)))
-        # diff[p][a]: rows M[a] - M[a'] over non-tied a' (strict BR margins)
-        self.diff: dict[int, list[np.ndarray]] = {}
+        # diff[p][a]: rows M[a] - M[a'] over non-tied a' (strict BR margins);
+        # tied[p][a]: a's tie class without a
+        self.tie_set: dict[int, list[list[int]]] = {}
         self.non_tied: dict[int, list[list[int]]] = {}
         self.tied: dict[int, list[list[int]]] = {}
+        self.diff: dict[int, list[np.ndarray]] = {}
         for p in self.followers:
-            rows_p, nt_p, t_p = [], [], []
-            for a in range(game.num_actions(p)):
-                nt = ties.non_tied(p, a)
-                nt_p.append(nt)
-                t_p.append([a2 for a2 in ties.tie_set(p, a) if a2 != a])
-                rows_p.append(self.M[p][a] - self.M[p][nt] if nt else np.zeros((0, self.m_n)))
-            self.diff[p] = rows_p
-            self.non_tied[p] = nt_p
-            self.tied[p] = t_p
+            M = self.M[p]
+            same = (M[:, None, :] == M[None, :, :]).all(axis=2)
+            self.tie_set[p] = [np.flatnonzero(row).tolist() for row in same]
+            self.non_tied[p] = [np.flatnonzero(~row).tolist() for row in same]
+            self.tied[p] = [[a2 for a2 in t if a2 != a] for a, t in enumerate(self.tie_set[p])]
+            self.diff[p] = [
+                M[a] - M[nt] if nt else np.zeros((0, self.m_n))
+                for a, nt in enumerate(self.non_tied[p])
+            ]
         # free[p][a]: p's rows with no follower neighbour assigned
         self.free = {
             p: [self._follower_rows(i, (), a) for a in range(game.num_actions(p))]
@@ -261,12 +229,11 @@ def _strict_eps_lp(D: np.ndarray, d0: np.ndarray, m_n: int) -> tuple[float, np.n
 
 
 def emptiness_check(
-    game: PolymatrixGame, profile: dict[int, int], ties: TieSets | None = None
+    game: PolymatrixGame, profile: dict[int, int]
 ) -> tuple[float, MixedStrategy | None]:
     """Max margin by which some commitment makes every profile action a
     strict best response. Zero means the region has empty interior."""
-    ties = ties or TieSets.for_game(game)
-    blocks = _Blocks(game, ties)
+    blocks = _Blocks(game)
     rows = blocks.rows(tuple(profile[p] for p in blocks.followers))
     return (0.0, None) if rows is None else _emptiness(blocks, *rows)
 
@@ -289,75 +256,96 @@ def _emptiness(
     return float(res.objective), MixedStrategy(blocks.game.leader, res.x[:m_n])
 
 
-def _maxmin_matrices(blocks: _Blocks, profile: dict[int, int]):
-    """Constraint matrices of the max-min LP.
+def _tie_rows(blocks: _Blocks, profile: dict[int, int], ncols: int, v: int) -> np.ndarray:
+    """Rows -L[p][a2] s + v+_i - v-_i <= 0 over each follower p, the i-th,
+    and each a2 in the tie class of profile[p]: v+_i - v-_i, the leader's
+    payoff against p, is at most the leader's payoff against any tied
+    action. The v+ columns start at v, the v- columns follow them."""
+    nf = len(blocks.followers)
+    rows = []
+    for i, p in enumerate(blocks.followers):
+        for a2 in blocks.tie_set[p][profile[p]]:
+            row = np.zeros(ncols)
+            row[v + i] = 1.0
+            row[v + nf + i] = -1.0
+            row[: blocks.m_n] = -blocks.L[p][a2]
+            rows.append(row)
+    return np.array(rows).reshape(-1, ncols)
 
-    Columns: [s (m_n), v+ (|F|), v- (|F|), zeta (sum of non-tied counts)].
-    Returns (c, A_ub, b_ub, A_eq, b_eq, zeta_keys, ncols).
+
+def _value_row(ncols: int, v: int, nf: int) -> np.ndarray:
+    """Row -sum(v+) + sum(v-) over nf v+ columns starting at v and the v-
+    columns after them; bounding it by -w holds the leader's value at w."""
+    row = np.zeros(ncols)
+    row[v : v + nf] = -1.0
+    row[v + nf : v + 2 * nf] = 1.0
+    return row
+
+
+def _maxmin_matrices(blocks: _Blocks, profile: dict[int, int], D: np.ndarray):
+    """Arguments (c, A_ub, b_ub, A_eq, b_eq) of the max-min LP over the
+    profile's stacked rows D, one zeta per row: D s - zeta = 0; and the
+    zeta column of each (follower, non-tied action).
+
+    Columns: [s (m_n), v+ (|F|), v- (|F|), zeta (rows of D)].
     """
     followers = blocks.followers
     m_n = blocks.m_n
     nf = len(followers)
-    zeta_keys = [
-        (p, a2) for p in followers for a2 in blocks.non_tied[p][profile[p]]
-    ]
-    nz = len(zeta_keys)
-    ncols = m_n + 2 * nf + nz
-
-    ub_rows = []
-    for i, p in enumerate(followers):
-        for a2 in blocks.ties.tie_set(p, profile[p]):
-            row = np.zeros(ncols)
-            row[m_n + i] = 1.0
-            row[m_n + nf + i] = -1.0
-            row[:m_n] = -blocks.L[p][a2]
-            ub_rows.append(row)
-    A_ub = np.array(ub_rows)
-    b_ub = np.zeros(len(ub_rows))
-
-    eq_rows = [np.zeros(ncols)]
-    eq_rows[0][:m_n] = 1.0
-    b_eq = [1.0]
     zcol = m_n + 2 * nf
-    for j, (p, a2) in enumerate(zeta_keys):
-        row = np.zeros(ncols)
-        row[:m_n] = blocks.M[p][profile[p]] - blocks.M[p][a2]
-        row[zcol + j] = -1.0
-        eq_rows.append(row)
-        b_eq.append(0.0)
-    A_eq = np.array(eq_rows)
+    keys = [(p, a2) for p in followers for a2 in blocks.non_tied[p][profile[p]]]
+    nz = len(keys)
+    ncols = zcol + nz
+
+    A_ub = _tie_rows(blocks, profile, ncols, m_n)
+    b_ub = np.zeros(A_ub.shape[0])
+
+    A_eq = np.zeros((1 + nz, ncols))
+    A_eq[0, :m_n] = 1.0
+    A_eq[1:, :m_n] = D
+    A_eq[1 + np.arange(nz), zcol + np.arange(nz)] = -1.0
+    b_eq = np.zeros(1 + nz)
+    b_eq[0] = 1.0
 
     c = np.zeros(ncols)
     c[m_n : m_n + nf] = 1.0
-    c[m_n + nf : m_n + 2 * nf] = -1.0
-    return c, A_ub, b_ub, A_eq, np.array(b_eq), zeta_keys, ncols
+    c[m_n + nf : zcol] = -1.0
+    return (c, A_ub, b_ub, A_eq, b_eq), {key: zcol + j for j, key in enumerate(keys)}
+
+
+def _tree_blocks(game: PolymatrixGame) -> _Blocks:
+    if not game.is_one_level_tree():
+        raise GameClassError("pessimistic solver requires a one-level tree game")
+    return _Blocks(game)
+
+
+def _tree_rows(game: PolymatrixGame, profile: dict[int, int]) -> tuple[_Blocks, np.ndarray]:
+    """The blocks of a one-level tree game and the profile's stacked rows."""
+    blocks = _tree_blocks(game)
+    D, _ = blocks.rows(tuple(profile[p] for p in blocks.followers))
+    return blocks, D
 
 
 def solve_max_min(
-    game: PolymatrixGame, profile: dict[int, int], ties: TieSets | None = None
+    game: PolymatrixGame, profile: dict[int, int]
 ) -> tuple[float, MixedStrategy, dict[tuple[int, int], float]]:
-    ties = ties or TieSets.for_game(game)
-    blocks = _Blocks(game, ties)
-    return _max_min(blocks, profile)
+    blocks, D = _tree_rows(game, profile)
+    return _max_min(blocks, profile, D)
 
 
-def _max_min(blocks: _Blocks, profile: dict[int, int]):
-    c, A_ub, b_ub, A_eq, b_eq, zeta_keys, ncols = _maxmin_matrices(blocks, profile)
-    res = lp_core.maximize(c, A_ub, b_ub, A_eq, b_eq)
+def _max_min(blocks: _Blocks, profile: dict[int, int], D: np.ndarray):
+    lp, col = _maxmin_matrices(blocks, profile, D)
+    res = lp_core.maximize(*lp)
     if res.status is not lp_core.LpStatus.OPTIMAL:
         raise SolverFailure(f"max-min LP ended with {res.status}")
-    m_n = blocks.m_n
-    nf = len(blocks.followers)
-    zcol = m_n + 2 * nf
-    zeta = {key: float(res.x[zcol + j]) for j, key in enumerate(zeta_keys)}
-    s = MixedStrategy(blocks.game.leader, res.x[:m_n])
+    zeta = {key: float(res.x[j]) for key, j in col.items()}
+    s = MixedStrategy(blocks.game.leader, res.x[: blocks.m_n])
     return float(res.objective), s, zeta
 
 
 def attainment_flag(
     game: PolymatrixGame,
     profile: dict[int, int],
-    ties: TieSets | None = None,
     value: float | None = None,
 ) -> tuple[bool, dict[tuple[int, int], float]]:
     """Robustified non-attainment flag.
@@ -366,15 +354,14 @@ def attainment_flag(
     total slack; the supremum is declared unattained only if some non-tied
     action still has zero slack *and* it is strictly worse for the leader.
     """
-    ties = ties or TieSets.for_game(game)
-    blocks = _Blocks(game, ties)
+    blocks, D = _tree_rows(game, profile)
     if value is None:
-        value, _, _ = _max_min(blocks, profile)
-    beta, zeta_max, _ = _attainment(blocks, profile, value)
+        value, _, _ = _max_min(blocks, profile, D)
+    beta, zeta_max, _ = _attainment(blocks, profile, D, value)
     return beta, zeta_max
 
 
-def _attainment(blocks: _Blocks, profile: dict[int, int], value: float):
+def _attainment(blocks: _Blocks, profile: dict[int, int], D: np.ndarray, value: float):
     """Returns (beta, zeta_max, witness strategy or None).
 
     Maximizes total slack over the optimal face (value held exactly; a
@@ -384,20 +371,15 @@ def _attainment(blocks: _Blocks, profile: dict[int, int], value: float):
     slack at zero which another point of the face makes positive, so each
     zero slack that would flag non-attainment is maximized on its own, and
     the face points found are averaged before the flag is read again."""
-    c, A_ub, b_ub, A_eq, b_eq, zeta_keys, ncols = _maxmin_matrices(blocks, profile)
-    if not zeta_keys:
+    (c, A_ub, b_ub, A_eq, b_eq), col = _maxmin_matrices(blocks, profile, D)
+    if not col:
         return False, {}, None
     m_n = blocks.m_n
-    nf = len(blocks.followers)
-    zcol = m_n + 2 * nf
+    ncols = len(c)
     c2 = np.zeros(ncols)
-    c2[zcol:] = 1.0
-    bound = np.zeros(ncols)
-    bound[m_n : m_n + nf] = -1.0
-    bound[m_n + nf : m_n + 2 * nf] = 1.0
-    res = None
+    c2[list(col.values())] = 1.0
+    A_ub2 = np.vstack([A_ub, _value_row(ncols, m_n, len(blocks.followers))])
     for delta in (0.0, 1e-9 * max(1.0, abs(value))):
-        A_ub2 = np.vstack([A_ub, bound])
         b_ub2 = np.append(b_ub, -(value - delta))
         res = lp_core.maximize(c2, A_ub2, b_ub2, A_eq, b_eq)
         if res.status is lp_core.LpStatus.OPTIMAL:
@@ -405,15 +387,13 @@ def _attainment(blocks: _Blocks, profile: dict[int, int], value: float):
     if res.status is not lp_core.LpStatus.OPTIMAL:
         raise SolverFailure(f"attainment LP ended with {res.status}")
 
-    col = {key: zcol + j for j, key in enumerate(zeta_keys)}
-
     def witnesses(x):
         """Zeta columns at zero slack whose action is strictly worse for
         the leader than the profile's tied actions."""
         s = x[:m_n]
         out = []
         for p in blocks.followers:
-            v_p = float((blocks.L[p][blocks.ties.tie_set(p, profile[p])] @ s).min())
+            v_p = float((blocks.L[p][blocks.tie_set[p][profile[p]]] @ s).min())
             for a2 in blocks.non_tied[p][profile[p]]:
                 j = col[(p, a2)]
                 if x[j] <= ZETA_TOL and float(blocks.L[p][a2] @ s) < v_p - 1e-9:
@@ -442,56 +422,35 @@ def _attainment(blocks: _Blocks, profile: dict[int, int], value: float):
 def find_apx(
     game: PolymatrixGame,
     profile: dict[int, int],
-    ties: TieSets | None,
+    unused: None,
     v_star: float,
     alpha: float,
 ) -> MixedStrategy:
     """Interior commitment whose pessimistic value is within alpha of the
-    supremum v_star for the given profile."""
+    supremum v_star for the given profile. The third parameter is unused
+    and always None; it keeps the call form
+    ``find_apx(game, profile, None, v_star, alpha)``."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    ties = ties or TieSets.for_game(game)
-    blocks = _Blocks(game, ties)
-    return _find_apx(blocks, profile, v_star, alpha)
+    blocks, D = _tree_rows(game, profile)
+    return _find_apx(blocks, profile, D, v_star, alpha)
 
 
-def _find_apx(blocks: _Blocks, profile: dict[int, int], v_star: float, alpha: float):
-    followers = blocks.followers
+def _find_apx(
+    blocks: _Blocks, profile: dict[int, int], D: np.ndarray, v_star: float, alpha: float
+):
+    """The margin LP over D with the leader's pessimistic value held at
+    v_star - alpha: columns [s, eps, v+, v-], below the tie rows and the
+    value row."""
     m_n = blocks.m_n
-    nf = len(followers)
-    D, _ = blocks.rows(tuple(profile[p] for p in followers))
-    k = D.shape[0]
-    # columns: [s, eps, v+, v-]
+    nf = len(blocks.followers)
     ncols = m_n + 1 + 2 * nf
-    ub_rows, b_ub = [], []
-    for i, p in enumerate(followers):
-        for a2 in blocks.ties.tie_set(p, profile[p]):
-            row = np.zeros(ncols)
-            row[m_n + 1 + i] = 1.0
-            row[m_n + 1 + nf + i] = -1.0
-            row[:m_n] = -blocks.L[p][a2]
-            ub_rows.append(row)
-            b_ub.append(0.0)
-    row = np.zeros(ncols)
-    row[m_n + 1 : m_n + 1 + nf] = -1.0
-    row[m_n + 1 + nf :] = 1.0
-    ub_rows.append(row)
-    b_ub.append(-(v_star - alpha))
-    for i in range(k):
-        row = np.zeros(ncols)
-        row[:m_n] = -D[i]
-        row[m_n] = 1.0
-        ub_rows.append(row)
-        b_ub.append(0.0)
-    row = np.zeros(ncols)
-    row[m_n] = 1.0
-    ub_rows.append(row)
-    b_ub.append(1.0)
-    A_eq = np.zeros((1, ncols))
-    A_eq[0, :m_n] = 1.0
-    c = np.zeros(ncols)
-    c[m_n] = 1.0
-    res = lp_core.maximize(c, np.array(ub_rows), np.array(b_ub), A_eq, [1.0])
+    c, A_ub, b_ub, A_eq, b_eq = margin_lp(D, m_n, 0.0)
+    tie_rows = _tie_rows(blocks, profile, ncols, m_n + 1)
+    pad = [(0, 0), (0, 2 * nf)]
+    A_ub = np.vstack([tie_rows, _value_row(ncols, m_n + 1, nf), np.pad(A_ub, pad)])
+    b_ub = np.concatenate([np.zeros(len(tie_rows)), [-(v_star - alpha)], b_ub])
+    res = lp_core.maximize(np.pad(c, (0, 2 * nf)), A_ub, b_ub, np.pad(A_eq, pad), b_eq)
     if res.status is not lp_core.LpStatus.OPTIMAL:
         raise SolverFailure(
             f"approximation LP ended with {res.status} "
@@ -570,16 +529,13 @@ def solve_plfe(
     otherwise. A time limit truncates the search and flags the result as
     incomplete.
     """
-    if not game.is_one_level_tree():
-        raise GameClassError("pessimistic solver requires a one-level tree game")
+    blocks = _tree_blocks(game)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     followers = game.followers
-    ties = TieSets.for_game(game)
-    blocks = _Blocks(game, ties)
 
     def work(combo, D, d0):
-        v, s, zeta = _max_min(blocks, dict(zip(followers, combo)))
+        v, s, zeta = _max_min(blocks, dict(zip(followers, combo)), D)
         raw_beta = any(z <= ZETA_TOL for z in zeta.values()) if zeta else False
         return (v, combo, s, raw_beta)
 
@@ -592,41 +548,29 @@ def solve_plfe(
 
     best_v = max(r[0] for r in survivors)
     contenders = [r for r in survivors if r[0] >= best_v - VALUE_TIE_TOL]
-    chosen = None
-    chosen_beta = None
-    chosen_witness = None
     for v, combo, s, raw_beta in contenders:  # already lexicographic
-        beta, _, witness = _attainment(blocks, dict(zip(followers, combo)), v)
+        profile = dict(zip(followers, combo))
+        beta, _, witness = _attainment(blocks, profile, blocks.rows(combo)[0], v)
         if not beta:
-            chosen = (v, combo, s, raw_beta)
-            chosen_beta = False
-            chosen_witness = witness
+            # prefer the slack-maximized optimum: it keeps every non-tied
+            # action strictly suboptimal wherever the face allows it
+            strategy = witness if witness is not None else s
             break
-        if chosen is None:
-            chosen = (v, combo, s, raw_beta)
-            chosen_beta = True
-
-    v, combo, s, raw_beta = chosen
-    profile = dict(zip(followers, combo))
-    if chosen_beta:
-        strategy = _find_apx(blocks, profile, v, alpha)
-        attained = False
     else:
-        # prefer the slack-maximized optimum: it keeps every non-tied
-        # action strictly suboptimal wherever the face allows it
-        strategy = chosen_witness if chosen_witness is not None else s
-        attained = True
+        v, combo, s, raw_beta = contenders[0]
+        profile = dict(zip(followers, combo))
+        strategy = _find_apx(blocks, profile, blocks.rows(combo)[0], v, alpha)
     return LfeResult(
         value=float(v),
         strategy=within_simplex(strategy),
         profile=profile,
-        attained=attained,
+        attained=not beta,
         alpha=alpha,
         anytime_complete=not truncated,
         profiles_enumerated=processed,
         diagnostics={
             "raw_beta": bool(raw_beta),
-            "robust_beta": bool(chosen_beta),
+            "robust_beta": beta,
             "survivors": len(survivors),
         },
     )

@@ -11,7 +11,6 @@ from polystack.instance_gen import CnfFormula, random_oltpg, sat_to_pg_olfe
 from polystack.olfe_solver import (
     NoPureCommitmentError,
     olfe_profile_lp,
-    profile_region_epsilon,
     solve_olfe,
 )
 from polystack.plfe_exact import solve_plfe
@@ -35,15 +34,6 @@ class TestProfileLp:
         value, s = olfe_profile_lp(g, {1: 0})
         assert value == pytest.approx(4.0)
         assert s.probs == pytest.approx([1.0, 0.0])
-
-
-class TestRegionEpsilon:
-    def test_interior_region(self, star3_game):
-        assert profile_region_epsilon(star3_game, {1: 0, 2: 1}) > 0.1
-
-    def test_knife_edge_region(self):
-        g = two_player_game([[1, 0], [0, 1], [0.5, 0.5]], [[0, 0]] * 3)
-        assert profile_region_epsilon(g, {1: 2}) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestSolveOlfe:

@@ -18,7 +18,6 @@ from polystack.olfe_solver import NoPureCommitmentError, solve_olfe
 from polystack.oracles import Graph, grid_oracle, supremum_1d
 from polystack.plfe_exact import (
     EPS_TOL,
-    TieSets,
     _Blocks,
     attainment_flag,
     emptiness_check,
@@ -32,7 +31,7 @@ from conftest import two_player_game
 
 
 def tie_set(game, p, a_p):
-    return TieSets.for_game(game).tie_set(p, a_p)
+    return _Blocks(game).tie_set[p][a_p]
 
 
 class TestTieSets:
@@ -57,9 +56,10 @@ class TestTieSets:
     def test_classes_partition_actions(self):
         for seed in range(5):
             g = random_oltpg(3, 4, seed)
-            ties = TieSets.for_game(g)
+            blocks = _Blocks(g)
             for p in g.followers:
-                seen = sorted(a for group in ties.members[p] for a in group)
+                classes = {tuple(group) for group in blocks.tie_set[p]}
+                seen = sorted(a for group in classes for a in group)
                 assert seen == list(range(4))
 
 
@@ -276,12 +276,11 @@ def _search_games():
 def _flat_survivors(game):
     """Every profile, in lexicographic order, whose region the public
     interior check finds full-dimensional."""
-    ties = TieSets.for_game(game)
     followers = game.followers
     return [
         combo
         for combo in itertools.product(*[range(game.num_actions(p)) for p in followers])
-        if emptiness_check(game, dict(zip(followers, combo)), ties)[0] > EPS_TOL
+        if emptiness_check(game, dict(zip(followers, combo)))[0] > EPS_TOL
     ]
 
 
@@ -358,7 +357,7 @@ class TestSearchProfiles:
     @pytest.mark.parametrize("game", list(_search_games()))
     def test_survivors_match_flat_reference(self, game):
         flat = _flat_survivors(game)
-        blocks = _Blocks(game, TieSets.for_game(game))
+        blocks = _Blocks(game)
         found, covered, truncated = search_profiles(blocks, lambda combo, D, d0: combo)
         assert found == flat  # same profiles, same lexicographic order
         total = math.prod(game.num_actions(p) for p in game.followers)
@@ -389,7 +388,7 @@ class TestSearchProfiles:
     @pytest.mark.parametrize("game", list(_general_games()))
     def test_general_graph_matches_flat_reference(self, game):
         flat = _flat_inducible(game)
-        blocks = _Blocks(game, TieSets.for_game(game))
+        blocks = _Blocks(game)
         found, covered, truncated = search_profiles(blocks, lambda combo, D, d0: combo)
         assert found == [combo for combo, _ in flat]
         total = math.prod(game.num_actions(p) for p in game.followers)
