@@ -315,6 +315,10 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _cmd_bench(args) -> int:
+    if args.seeds < 1:
+        raise DomainError(f"--seeds must be at least 1, got {args.seeds}")
+    if any(n < 2 for n in args.n) or any(m < 1 for m in args.m):
+        raise DomainError("--n needs at least 2 players and --m at least 1 action")
     sys.stdout.write("n,m,mean_seconds,std_seconds,timeouts,profiles_enumerated\n")
     for n in args.n:
         for m in args.m:

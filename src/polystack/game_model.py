@@ -44,7 +44,8 @@ class MixedStrategy:
         p = self.probs
         if num_actions is not None and p.shape != (num_actions,):
             raise ValueError(f"strategy has {p.shape[0]} entries, expected {num_actions}")
-        if (p < -1e-12).any() or (p > 1 + 1e-12).any():
+        # NaN compares false, so entries must pass a test of lying inside
+        if not ((p >= -1e-12) & (p <= 1 + 1e-12)).all():
             raise ValueError("strategy entries must lie in [0, 1]")
         if abs(p.sum() - 1.0) > 1e-9:
             raise ValueError(f"strategy entries sum to {p.sum()!r}, not 1")
@@ -332,6 +333,8 @@ def game_from_json_dict(data: dict) -> tuple[PolymatrixGame, dict[int, int] | No
             raise ValueError(f"malformed player {i}: missing {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ValueError(f"malformed player {i}: {exc}") from exc
+        if not labels[-1]:
+            raise ValueError(f"player {ids[-1]} has no actions")
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate player ids")
     if leader not in ids:

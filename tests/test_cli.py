@@ -116,6 +116,15 @@ class TestEval:
         s.write_text("[0.9, 0.9, 0.9]")
         assert run(["eval", "--strategy", str(s), "--mode", "pessimistic", game_file]) == 1
 
+    @pytest.mark.parametrize("probs", ["[NaN, NaN, NaN]", "[0.5, NaN, 0.5]"])
+    def test_nan_strategy_is_domain_error(self, capsys, game_file, tmp_path, probs):
+        s = tmp_path / "s.json"
+        s.write_text(probs)
+        assert run(["eval", "--strategy", str(s), "--mode", "pessimistic", game_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: invalid strategy:")
+
 
 class TestMalformedGame:
     """solve, eval and verify reject a game the solvers cannot read."""
@@ -205,6 +214,32 @@ class TestMalformedGame:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("error: ") and message in captured.err, argv
+
+
+    @pytest.mark.parametrize("player", [1, 3], ids=["follower", "leader"])
+    def test_player_without_actions(self, capsys, tmp_path, player):
+        data = game_to_json_dict(random_oltpg(3, 2, 0))
+        data["players"][player - 1]["actions"] = []
+        for edge in data["edges"]:
+            if edge["p"] == player:
+                edge["payoff_p"] = edge["payoff_q"] = []
+            elif edge["q"] == player:
+                edge["payoff_p"] = edge["payoff_q"] = [[], []]
+        game = tmp_path / "bad.json"
+        game.write_text(json.dumps(data))
+        strategy = tmp_path / "s.json"
+        strategy.write_text(json.dumps({"mode": "pessimistic", "value": 0.0, "strategy": [0.5, 0.5]}))
+        argvs = [["solve", "--mode", mode, str(game)] for mode in ("pessimistic", "optimistic", "apx", "pure-olfe")]
+        argvs += [
+            ["validate", str(game)],
+            ["eval", "--strategy", str(strategy), "--mode", "pessimistic", str(game)],
+            ["verify", "--against", "1d", str(game), str(strategy)],
+        ]
+        for argv in argvs:
+            assert run(argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and f"player {player} has no actions" in captured.err, argv
 
 
 class TestGenerate:
@@ -366,7 +401,26 @@ class TestVerify:
             assert capsys.readouterr().err.startswith("error: invalid strategy:")
 
 
+    def test_nan_strategy_is_domain_error(self, capsys, game_file, tmp_path):
+        _, solved = run_out(capsys, ["solve", "--mode", "pessimistic", game_file])
+        data = json.loads(solved)
+        data["strategy"] = [float("nan")] * 3
+        res = tmp_path / "r.json"
+        res.write_text(json.dumps(data))
+        assert run(["verify", "--against", "grid", "--resolution", "4", game_file, str(res)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: invalid strategy:")
+
+
 class TestBench:
+    @pytest.mark.parametrize("flag,value", [("--seeds", "0"), ("--n", "1"), ("--m", "0")])
+    def test_bad_argument_is_domain_error(self, capsys, flag, value):
+        assert run(["bench", "--n", "3", "--m", "2", "--seeds", "1", flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and flag in captured.err
+
     def test_tiny_bench_csv(self, capsys):
         code, out = run_out(
             capsys, ["bench", "--n", "3", "--m", "2", "--seeds", "2", "--time-limit", "10"]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from polystack.bayesian_bridge import BayesianGame, FollowerType, bg_to_polymatrix
-from polystack.game_model import MixedStrategy, PolymatrixGame, evaluate_commitment
+from polystack.game_model import GameClassError, MixedStrategy, PolymatrixGame, evaluate_commitment
 from polystack.instance_gen import (
     CnfFormula,
     clique_to_spg,
@@ -240,6 +240,17 @@ class TestSolvePlfe:
 
         with pytest.raises(GameClassError):
             solve_plfe(g)
+
+    def test_helpers_reject_general_games(self):
+        g = sat_to_pg_olfe(CnfFormula(3, ((1, 2, 3), (-1, 2, 3), (1, -2, -3))), 0.01)
+        profile = {p: 0 for p in g.followers}
+        for call in (
+            lambda: solve_max_min(g, profile),
+            lambda: attainment_flag(g, profile),
+            lambda: find_apx(g, profile, None, 1.0, 0.01),
+        ):
+            with pytest.raises(GameClassError):
+                call()
 
     def test_diagnostics_present(self, knife_edge_game):
         r = solve_plfe(knife_edge_game)
