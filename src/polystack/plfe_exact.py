@@ -93,9 +93,12 @@ class _Blocks:
         self.diff: dict[int, list[np.ndarray]] = {}
         for p in self.followers:
             M = self.M[p]
-            same = (M[:, None, :] == M[None, :, :]).all(axis=2)
-            self.tie_set[p] = [np.flatnonzero(row).tolist() for row in same]
-            self.non_tied[p] = [np.flatnonzero(~row).tolist() for row in same]
+            rows = [tuple(row) for row in M.tolist()]
+            classes: dict[tuple, list[int]] = {}
+            for a, row in enumerate(rows):
+                classes.setdefault(row, []).append(a)
+            self.tie_set[p] = [classes[row] for row in rows]
+            self.non_tied[p] = [[b for b, other in enumerate(rows) if other != row] for row in rows]
             self.tied[p] = [[a2 for a2 in t if a2 != a] for a, t in enumerate(self.tie_set[p])]
             self.diff[p] = [
                 M[a] - M[nt] if nt else np.zeros((0, self.m_n))
@@ -303,7 +306,7 @@ def _maxmin_matrices(blocks: _Blocks, profile: dict[int, int], D: np.ndarray):
     A_eq = np.zeros((1 + nz, ncols))
     A_eq[0, :m_n] = 1.0
     A_eq[1:, :m_n] = D
-    A_eq[1 + np.arange(nz), zcol + np.arange(nz)] = -1.0
+    np.fill_diagonal(A_eq[1:, zcol:], -1.0)  # -np.eye would write -0.0
     b_eq = np.zeros(1 + nz)
     b_eq[0] = 1.0
 
@@ -446,11 +449,11 @@ def _find_apx(
     nf = len(blocks.followers)
     ncols = m_n + 1 + 2 * nf
     c, A_ub, b_ub, A_eq, b_eq = margin_lp(D, m_n, 0.0)
+    c, A_ub, A_eq = (np.hstack([X, np.zeros(X.shape[:-1] + (2 * nf,))]) for X in (c, A_ub, A_eq))
     tie_rows = _tie_rows(blocks, profile, ncols, m_n + 1)
-    pad = [(0, 0), (0, 2 * nf)]
-    A_ub = np.vstack([tie_rows, _value_row(ncols, m_n + 1, nf), np.pad(A_ub, pad)])
+    A_ub = np.vstack([tie_rows, _value_row(ncols, m_n + 1, nf), A_ub])
     b_ub = np.concatenate([np.zeros(len(tie_rows)), [-(v_star - alpha)], b_ub])
-    res = lp_core.maximize(np.pad(c, (0, 2 * nf)), A_ub, b_ub, np.pad(A_eq, pad), b_eq)
+    res = lp_core.maximize(c, A_ub, b_ub, A_eq, b_eq)
     if res.status is not lp_core.LpStatus.OPTIMAL:
         raise SolverFailure(
             f"approximation LP ended with {res.status} "
