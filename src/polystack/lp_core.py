@@ -7,7 +7,14 @@ which matters because downstream attainment flags read slack values off
 whichever optimum is returned.
 
 The one entry point is ``maximize``: a dense LP over nonnegative variables
-with inequality and equality rows, returning a vertex optimum.
+with inequality and equality rows, returning a vertex optimum. Its tableau
+has one row per constraint and the columns ``[x | slacks | artificials |
+rhs]``: a slack per inequality row, an artificial per equality row and per
+row flipped to ``>=`` by a negative right-hand side. The basis is an int
+array holding one column per row. Artificials start the phase-1 basis but
+never enter it. The phase-2 objective is reduced one basic row at a time,
+in row order, since a matrix product sums in another order and would move
+the last bits of the returned vertex.
 """
 
 from __future__ import annotations
@@ -58,41 +65,43 @@ def _pivot(T, obj, basis, r, j):
     basis[r] = j
 
 
-def _run_phase(T, obj, basis, allowed, max_iter):
-    """Pivot until no allowed column has positive reduced cost.
+def _run_phase(T, obj, basis, ncols, max_iter):
+    """Pivot until no column before ``ncols`` has positive reduced cost.
 
-    Dantzig entering rule with first-index tie-break; falls back to Bland's
-    rule after ``max_iter // 2`` iterations to rule out cycling. Leaving row
-    breaks ratio ties on the smallest basic-variable index.
+    ``ncols`` is the index of the first artificial column: in both phases
+    only ``x`` and slack columns may enter. Dantzig entering rule with
+    first-index tie-break; falls back to Bland's rule after ``max_iter // 2``
+    pivots to rule out cycling, and fails after ``max_iter + 1``. Leaving
+    row breaks ratio ties on the smallest basic-variable index.
     """
-    m = T.shape[0]
-    ncols = T.shape[1] - 1
-    it = 0
-    bland_after = max_iter // 2
-    while True:
+    for it in range(max_iter + 1):
         red = obj[:ncols]
-        if it < bland_after:
-            vals = np.where(allowed, red, -np.inf)
-            j = int(np.argmax(vals))
-            if vals[j] <= _ENTER_TOL:
+        if it < max_iter // 2:
+            j = int(np.argmax(red))
+            if red[j] <= _ENTER_TOL:
                 return "optimal"
         else:
-            cand = np.nonzero(allowed & (red > _ENTER_TOL))[0]
+            cand = np.nonzero(red > _ENTER_TOL)[0]
             if cand.size == 0:
                 return "optimal"
             j = int(cand[0])
-        col = T[:m, j]
+        col = T[:, j]
         pos = col > _PIVOT_TOL
         if not pos.any():
             return "unbounded"
-        ratios = np.where(pos, T[:m, -1] / np.where(pos, col, 1.0), np.inf)
-        rmin = ratios.min()
-        tied = np.nonzero(ratios <= rmin + 1e-12)[0]
-        r = int(tied[np.argmin(np.asarray(basis)[tied])])
+        ratios = np.where(pos, T[:, -1] / np.where(pos, col, 1.0), np.inf)
+        tied = np.nonzero(ratios <= ratios.min() + 1e-12)[0]
+        r = int(tied[np.argmin(basis[tied])])
         _pivot(T, obj, basis, r, j)
-        it += 1
-        if it > max_iter:
-            return "failed"
+    return "failed"
+
+
+def _rows(A, b, n):
+    """``(A, b)`` as ``(k, n)`` and ``(k,)`` float arrays; ``None`` or empty
+    gives ``k = 0``."""
+    if A is None or len(A) == 0:
+        return np.zeros((0, n)), np.zeros(0)
+    return np.asarray(A, dtype=float).reshape(-1, n), np.asarray(b, dtype=float).ravel()
 
 
 def maximize(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> DenseResult:
@@ -103,112 +112,72 @@ def maximize(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> DenseResult:
 
     c = np.asarray(c, dtype=float)
     n = c.shape[0]
-    rows = []
-    rels = []  # +1: <=, 0: ==, -1: >=
-    rhs = []
-    if A_ub is not None and len(A_ub) > 0:
-        A_ub = np.asarray(A_ub, dtype=float).reshape(-1, n)
-        b_ub = np.asarray(b_ub, dtype=float).ravel()
-        for i in range(A_ub.shape[0]):
-            rows.append(A_ub[i])
-            rels.append(1)
-            rhs.append(b_ub[i])
-    if A_eq is not None and len(A_eq) > 0:
-        A_eq = np.asarray(A_eq, dtype=float).reshape(-1, n)
-        b_eq = np.asarray(b_eq, dtype=float).ravel()
-        for i in range(A_eq.shape[0]):
-            rows.append(A_eq[i])
-            rels.append(0)
-            rhs.append(b_eq[i])
-    m = len(rows)
+    A_ub, b_ub = _rows(A_ub, b_ub, n)
+    A_eq, b_eq = _rows(A_eq, b_eq, n)
+    m = len(b_ub) + len(b_eq)
     if m == 0:
         # only x >= 0: bounded iff no positive objective coefficient
         if (c > _ENTER_TOL).any():
             return DenseResult(LpStatus.UNBOUNDED)
         return DenseResult(LpStatus.OPTIMAL, np.zeros(n), 0.0)
 
-    A = np.array(rows, dtype=float)
-    b = np.array(rhs, dtype=float)
-    rel = np.array(rels, dtype=int)
-    neg = b < 0
-    A[neg] = -A[neg]
-    b[neg] = -b[neg]
-    rel[neg] = -rel[neg]
+    # rows with a negative right-hand side are flipped; <= rows become >=
+    b = np.concatenate((b_ub, b_eq))
+    sign = np.where(b < 0, -1, 1)
+    rel = np.repeat([1, 0], (len(b_ub), len(b_eq))) * sign  # +1: <=, 0: ==, -1: >=
 
-    n_slack = int((rel != 0).sum())
-    art_rows = [i for i in range(m) if rel[i] != 1]
-    n_art = len(art_rows)
-    ncols = n + n_slack + n_art
+    slack_rows = np.nonzero(rel)[0]
+    art_rows = np.nonzero(rel != 1)[0]
+    art_start = n + len(slack_rows)
+    ncols = art_start + len(art_rows)
+    slack_cols = np.arange(n, art_start)
+    art_cols = np.arange(art_start, ncols)
 
     T = np.zeros((m, ncols + 1))
-    T[:, :n] = A
-    T[:, -1] = b
-    basis = [0] * m
-    si = 0
-    for i in range(m):
-        if rel[i] != 0:
-            T[i, n + si] = 1.0 if rel[i] == 1 else -1.0
-            if rel[i] == 1:
-                basis[i] = n + si
-            si += 1
-    for k, i in enumerate(art_rows):
-        T[i, n + n_slack + k] = 1.0
-        basis[i] = n + n_slack + k
+    T[:, :n] = np.vstack((A_ub, A_eq)) * sign[:, None]
+    T[:, -1] = b * sign
+    T[slack_rows, slack_cols] = rel[slack_rows]
+    T[art_rows, art_cols] = 1.0
+    basis = np.empty(m, dtype=int)
+    basis[slack_rows] = slack_cols
+    basis[art_rows] = art_cols  # a >= row starts on its artificial
 
     max_iter = 200 * (m + ncols)
-    art_start = n + n_slack
 
     # phase 1: maximize minus the sum of artificials
-    if n_art:
-        obj = np.zeros(ncols + 1)
-        for i in art_rows:
-            obj[:ncols] += T[i, :ncols]
-            obj[-1] += T[i, -1]
+    if len(art_rows):
+        obj = T[art_rows].sum(axis=0)
         obj[art_start:ncols] = 0.0
-        allowed = np.ones(ncols, dtype=bool)
-        allowed[art_start:] = False
-        status = _run_phase(T, obj, basis, allowed, max_iter)
-        if status == "failed":
+        if _run_phase(T, obj, basis, art_start, max_iter) == "failed":
             return DenseResult(LpStatus.FAILED)
-        infeas = sum(T[i, -1] for i in range(m) if basis[i] >= art_start)
-        if infeas > 1e-8:
+        if sum(T[basis >= art_start, -1]) > 1e-8:
             return DenseResult(LpStatus.INFEASIBLE)
         # drive residual artificials out of the basis (degenerate rows)
-        for i in range(m):
-            if basis[i] >= art_start:
-                nz = np.nonzero(np.abs(T[i, :art_start]) > _PIVOT_TOL)[0]
-                if nz.size:
-                    dummy = np.zeros(ncols + 1)
-                    _pivot(T, dummy, basis, i, int(nz[0]))
-                else:
-                    T[i, :] = 0.0  # redundant constraint
+        for i in np.nonzero(basis >= art_start)[0]:
+            nz = np.nonzero(np.abs(T[i, :art_start]) > _PIVOT_TOL)[0]
+            if nz.size:
+                _pivot(T, obj, basis, i, int(nz[0]))
+            else:
+                T[i, :] = 0.0  # redundant constraint
 
-    # phase 2
+    # phase 2, reduced row by row (see the module docstring)
     obj = np.zeros(ncols + 1)
     obj[:n] = c
-    for i in range(m):
-        if basis[i] < art_start and obj[basis[i]] != 0.0:
-            coef = obj[basis[i]]
-            obj -= coef * T[i]
-    allowed = np.ones(ncols, dtype=bool)
-    allowed[art_start:] = False
-    status = _run_phase(T, obj, basis, allowed, max_iter)
-    if status == "unbounded":
-        return DenseResult(LpStatus.UNBOUNDED)
-    if status == "failed":
-        return DenseResult(LpStatus.FAILED)
+    for i, j in enumerate(basis.tolist()):
+        if j < art_start and obj[j] != 0.0:
+            obj -= obj[j] * T[i]
+    status = _run_phase(T, obj, basis, art_start, max_iter)
+    if status != "optimal":
+        return DenseResult(LpStatus(status))  # unbounded or failed
 
     x = np.zeros(ncols)
-    for i in range(m):
-        x[basis[i]] = T[i, -1]
+    x[basis] = T[:, -1]
     xs = x[:n]
     # independent feasibility re-check; a violated vertex is a solver failure
-    if (xs < -_FEAS_TOL).any():
+    if (
+        (xs < -_FEAS_TOL).any()
+        or (A_ub @ xs - b_ub > _FEAS_TOL).any()
+        or (np.abs(A_eq @ xs - b_eq) > _FEAS_TOL).any()
+    ):
         return DenseResult(LpStatus.FAILED)
-    if A_ub is not None and len(A_ub) > 0:
-        if (A_ub @ xs - np.asarray(b_ub).ravel() > _FEAS_TOL).any():
-            return DenseResult(LpStatus.FAILED)
-    if A_eq is not None and len(A_eq) > 0:
-        if (np.abs(A_eq @ xs - np.asarray(b_eq).ravel()) > _FEAS_TOL).any():
-            return DenseResult(LpStatus.FAILED)
     return DenseResult(LpStatus.OPTIMAL, xs.copy(), float(c @ xs))
