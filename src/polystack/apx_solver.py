@@ -11,7 +11,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .game_model import MixedStrategy, PolymatrixGame, evaluate_commitment
+from .game_model import GameClassError, MixedStrategy, PolymatrixGame, evaluate_commitment
 from .plfe_exact import LfeResult, solve_plfe
 
 
@@ -44,6 +44,8 @@ def solve_plfe_apx(
     raised when strict.
     """
     game._require_oltpg()
+    if not game.followers:
+        raise GameClassError("the approximation needs at least one follower")
     nonneg = all(
         (game.leader_matrix(p) >= 0).all() for p in game.followers
     )

@@ -121,6 +121,8 @@ def polymatrix_to_bg(game: PolymatrixGame) -> BayesianGame:
         raise GameClassError("only one-level tree games map to Bayesian games")
     followers = game.followers
     t = len(followers)
+    if t == 0:
+        raise GameClassError("a Bayesian game needs at least one follower type")
     leader_actions = game.actions[game.leader]
 
     if report.game_class is GameClass.SPG:

@@ -102,6 +102,8 @@ def random_oltpg(
     all edges so the output classifies as a star game."""
     if n < 2 or m < 1:
         raise ValueError("need n >= 2 players and m >= 1 actions")
+    if not np.isfinite([lo, hi, hi - lo]).all():
+        raise ValueError("need finite lo, hi and hi - lo")
     if not lo < hi:
         raise ValueError("need lo < hi")
     if kind not in ("oltpg", "spg"):
@@ -161,8 +163,8 @@ def sat_to_pg_olfe(cnf: CnfFormula, epsilon: float = 0.01) -> PolymatrixGame:
     satisfied by that reading; otherwise the mutually-rewarding all-a0
     profile takes over and caps the optimistic leader value at epsilon
     instead of 1."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     s = len(cnf.clauses)
     if s < 3:
         raise ValueError("reduction requires at least 3 clauses")
@@ -237,8 +239,8 @@ def sat_to_pg_plfe(cnf: CnfFormula, epsilon: float = 0.01) -> PolymatrixGame:
     pattern, and the leader earns 1 on patterns that satisfy their clause
     versus epsilon on patterns that do not; a satisfiable formula lets the
     leader steer every unanimous equilibrium onto satisfying patterns."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     r = cnf.num_vars
     s = len(cnf.clauses)
     if s < 1:

@@ -24,6 +24,20 @@ def run_out(capsys, argv):
     return code, capsys.readouterr().out
 
 
+def assert_domain_error(capsys, argv, message):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.fixture
+def leader_only_file(tmp_path):
+    path = tmp_path / "leader_only.json"
+    path.write_text('{"players": [{"id": 1, "actions": ["x", "y"]}], "leader": 1, "edges": []}')
+    return str(path)
+
+
 class TestCanonicalJson:
     def test_float_formatting(self):
         assert dumps_canonical(0.1) == "0.10000000000000001"
@@ -79,6 +93,14 @@ class TestSolve:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: alpha must be positive")
+
+    def test_apx_needs_a_follower(self, capsys, leader_only_file):
+        assert_domain_error(
+            capsys, ["solve", "--mode", "apx", leader_only_file], "needs at least one follower"
+        )
+        for mode in ("pessimistic", "optimistic", "pure-olfe"):
+            code, out = run_out(capsys, ["solve", "--mode", mode, leader_only_file])
+            assert code == 0 and json.loads(out)["value"] == 0.0, mode
 
     def test_threads_byte_identical(self, capsys, game_file):
         _, a = run_out(capsys, ["solve", "--mode", "pessimistic", "--threads", "1", game_file])
@@ -272,6 +294,27 @@ class TestGenerate:
         graph.write_text('{"vertices": 3, "edges": [[1, 2], [2, 3], [1, 3]]}')
         assert run(["generate", "clique", "--graph", str(graph)]) == 1
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["sat-olfe", "--epsilon", "nan"], "epsilon must be positive and finite"),
+            (["sat-plfe", "--epsilon", "inf"], "epsilon must be positive and finite"),
+            (["random", "--players", "3", "--actions", "2", "--hi", "inf"], "need finite"),
+            (["random", "--players", "3", "--actions", "2", "--lo", "nan"], "need finite"),
+            (
+                ["random", "--players", "3", "--actions", "2", "--lo=-1e308", "--hi", "1e308"],
+                "need finite",
+            ),
+        ],
+        ids=["olfe-nan-epsilon", "plfe-inf-epsilon", "inf-hi", "nan-lo", "range-overflow"],
+    )
+    def test_non_finite_parameter_is_domain_error(self, capsys, tmp_path, args, message):
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text("p cnf 3 3\n1 2 3 0\n-1 2 3 0\n1 -2 -3 0\n")
+        if args[0] != "random":
+            args = [args[0], "--cnf", str(cnf), *args[1:]]
+        assert_domain_error(capsys, ["generate", *args], message)
+
 
 class TestConvert:
     def test_round_trip_byte_identical(self, capsys, game_file):
@@ -285,6 +328,11 @@ class TestConvert:
         with open(game_file) as fh:
             original = json.load(fh)
         assert json.loads(back) == json.loads(dumps_canonical(original))
+
+    def test_leader_only_game_rejected(self, capsys, leader_only_file):
+        assert_domain_error(
+            capsys, ["convert", "--to", "bayesian", leader_only_file], "at least one follower type"
+        )
 
     def test_general_game_rejected(self, capsys, tmp_path):
         z = [[0.0, 0.0], [0.0, 0.0]]
