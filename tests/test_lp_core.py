@@ -94,3 +94,36 @@ def test_solve_counter():
     maximize(np.array([0.0]), A_ub=[[1.0]], b_ub=[1.0])
     maximize(np.array([0.0]), A_ub=[[1.0]], b_ub=[1.0])
     assert lp_core.lp_solve_count() == 2
+
+
+def test_bland_fallback_ends_beale_cycle(monkeypatch):
+    # Beale's LP cycles under Dantzig's rule; only the switch to Bland's rule
+    # after max_iter // 2 pivots reaches the optimum
+    pivots = []
+    pivot = lp_core._pivot
+    monkeypatch.setattr(lp_core, "_pivot", lambda *a: pivots.append(a[3:]) or pivot(*a))
+    c = [0.75, -20.0, 0.5, -6.0]
+    A_ub = [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]]
+    res = maximize(c, A_ub, [0.0, 0.0, 1.0])
+    assert res.status is LpStatus.OPTIMAL
+    assert res.objective == pytest.approx(1.25)
+    assert res.x == pytest.approx([1.0, 0.0, 1.0, 0.0])
+    max_iter = 200 * (3 + 4 + 3)  # rows + structural and slack columns
+    assert len(pivots) > max_iter // 2
+
+
+def test_arguments_are_not_written():
+    def frozen(values):
+        a = np.array(values, dtype=float)
+        a.flags.writeable = False
+        return a
+
+    # x0 + x1 >= 1 (a negative right-hand side), x0 <= 2, x0 + 2 x1 == 3
+    c = frozen([1.0, 1.0])
+    A_ub, b_ub = frozen([[-1.0, -1.0], [1.0, 0.0]]), frozen([-1.0, 2.0])
+    A_eq, b_eq = frozen([[1.0, 2.0]]), frozen([3.0])
+    res = maximize(c, A_ub, b_ub, A_eq, b_eq)
+    assert res.status is LpStatus.OPTIMAL
+    assert res.objective == pytest.approx(2.5)
+    assert res.x == pytest.approx([2.0, 0.5])
+    assert b_ub.tolist() == [-1.0, 2.0] and A_ub.tolist() == [[-1.0, -1.0], [1.0, 0.0]]
