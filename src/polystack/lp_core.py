@@ -152,7 +152,8 @@ def maximize(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> DenseResult:
             return DenseResult(LpStatus.FAILED)
         if sum(T[basis >= art_start, -1]) > 1e-8:
             return DenseResult(LpStatus.INFEASIBLE)
-        # drive residual artificials out of the basis (degenerate rows)
+        # drive residual artificials out of the basis (degenerate rows);
+        # these pivots also update obj, which is not read again
         for i in np.nonzero(basis >= art_start)[0]:
             nz = np.nonzero(np.abs(T[i, :art_start]) > _PIVOT_TOL)[0]
             if nz.size:

@@ -101,7 +101,12 @@ def test_bland_fallback_ends_beale_cycle(monkeypatch):
     # after max_iter // 2 pivots reaches the optimum
     pivots = []
     pivot = lp_core._pivot
-    monkeypatch.setattr(lp_core, "_pivot", lambda *a: pivots.append(a[3:]) or pivot(*a))
+
+    def counted(*args):
+        pivots.append(args[3:])
+        pivot(*args)
+
+    monkeypatch.setattr(lp_core, "_pivot", counted)
     c = [0.75, -20.0, 0.5, -6.0]
     A_ub = [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]]
     res = maximize(c, A_ub, [0.0, 0.0, 1.0])
@@ -113,6 +118,7 @@ def test_bland_fallback_ends_beale_cycle(monkeypatch):
 
 
 def test_arguments_are_not_written():
+    # any write to a read-only argument raises
     def frozen(values):
         a = np.array(values, dtype=float)
         a.flags.writeable = False
@@ -126,4 +132,3 @@ def test_arguments_are_not_written():
     assert res.status is LpStatus.OPTIMAL
     assert res.objective == pytest.approx(2.5)
     assert res.x == pytest.approx([2.0, 0.5])
-    assert b_ub.tolist() == [-1.0, 2.0] and A_ub.tolist() == [[-1.0, -1.0], [1.0, 0.0]]
