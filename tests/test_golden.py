@@ -9,6 +9,7 @@ is meant to alter output, rewrite the file with
 
 import contextlib
 import io
+import itertools
 import json
 import tempfile
 from pathlib import Path
@@ -35,6 +36,30 @@ def _rounded_tree():
     return PolymatrixGame(g.player_ids, g.actions, g.leader, edges)
 
 
+def _tied_tree(p):
+    """random_oltpg(4, 3, 0) with follower p's leader-edge rows all equal
+    to its first: every action of p ties, so p adds no margin row."""
+    g = random_oltpg(4, 3, 0)
+    edges = dict(g.edges)
+    mp, mq = edges[(p, g.leader)]
+    edges[(p, g.leader)] = (np.tile(mp[0], (len(mp), 1)), mq)
+    return PolymatrixGame(g.player_ids, g.actions, g.leader, edges)
+
+
+def _general_game():
+    """A polymatrix game on a random graph with payoffs in {0, 1, 2}, so
+    actions tie; follower 2 has no edge to the leader."""
+    rng = np.random.default_rng(1)
+    actions = {p: tuple(f"a{j}" for j in range(rng.integers(2, 4))) for p in range(1, 4)}
+    actions[4] = ("l0", "l1", "l2")
+    edges = {}
+    for p, q in itertools.combinations(range(1, 5), 2):
+        if rng.random() < (0.8 if q == 4 else 0.6):
+            shape = (len(actions[p]), len(actions[q]))
+            edges[(p, q)] = (rng.integers(0, 3, shape).astype(float), rng.integers(0, 3, shape).astype(float))
+    return PolymatrixGame((1, 2, 3, 4), actions, 4, edges)
+
+
 def _bayesian(seed, types):
     rng = np.random.default_rng(seed)
     probs = rng.dirichlet(np.ones(types))
@@ -54,11 +79,15 @@ def cases():
     yield "spg-4x3", random_oltpg(4, 3, 0, kind="spg"), TREE_MODES
     yield "spg-5x2", random_oltpg(5, 2, 1, kind="spg"), TREE_MODES
     yield "rounded-4x3-906", _rounded_tree(), TREE_MODES
+    yield "tied-f1-4x3", _tied_tree(1), TREE_MODES
+    yield "tied-f2-4x3", _tied_tree(2), TREE_MODES
+    yield "leader-only", PolymatrixGame((1,), {1: ("x", "y")}, 1, {}), TREE_MODES[:2] + ("pure-olfe",)
     yield "clique-P4", clique_to_spg(Graph(4, ((1, 2), (2, 3), (3, 4)))), TREE_MODES
     yield "bayes-2t", _bayesian(0, 2), TREE_MODES
     yield "bayes-3t", _bayesian(1, 3), TREE_MODES
     cnf = CnfFormula(3, ((1, 2, 3), (-1, 2, 3), (1, -2, -3)))
     yield "sat-olfe", sat_to_pg_olfe(cnf, 0.01), ("pure-olfe",)
+    yield "general-4p", _general_game(), ("pure-olfe",)
 
 
 def solve_stdout(tmp_path, game, mode):
