@@ -66,7 +66,9 @@ class _Blocks:
     minus that at a2. On one-level trees d0 is zero. On general graphs it
     depends on p's follower neighbours, so a prefix of followers bounds it
     from above over every completion; every extension's rows then imply the
-    prefix's rows."""
+    prefix's rows. A search node's rows come from its prefix alone
+    (``rows``): only ``_follower_rows`` knows how assigning a follower
+    changes the rows of the followers before it."""
 
     def __init__(self, game: PolymatrixGame):
         self.game = game
@@ -104,11 +106,6 @@ class _Blocks:
                 M[a] - M[nt] if nt else np.zeros((0, self.m_n))
                 for a, nt in enumerate(self.non_tied[p])
             ]
-        # free[p][a]: p's rows with no follower neighbour assigned
-        self.free = {
-            p: [self._follower_rows(i, (), a) for a in range(game.num_actions(p))]
-            for i, p in enumerate(self.followers)
-        }
         self._prefilter: dict[tuple[int, int], tuple[float, np.ndarray | None]] = {}
 
     def _follower_rows(self, i: int, combo: tuple, a: int):
@@ -149,53 +146,41 @@ class _Blocks:
             blocks.append(block)
         if not blocks:
             return np.zeros((0, self.m_n)), np.zeros(0)
-        return np.vstack([D for D, _ in blocks]), np.concatenate([d0 for _, d0 in blocks])
+        return np.concatenate([D for D, _ in blocks]), np.concatenate([d0 for _, d0 in blocks])
 
-    def prefilter(self, p: int, a: int) -> tuple[float, np.ndarray | None]:
-        """Interior test for a single follower's region with no follower
+    def prefilter(self, i: int, a: int) -> tuple[float, np.ndarray | None]:
+        """Interior test for the i-th follower's region with no follower
         neighbour assigned, with the LP's point; computed once per
         (follower, action)."""
-        key = (p, a)
+        key = (i, a)
         if key not in self._prefilter:
-            free = self.free[p][a]
-            if free is None:
+            rows = self._follower_rows(i, (), a)
+            if rows is None:
                 self._prefilter[key] = (0.0, None)
-            elif not len(free[0]):
+            elif not len(rows[0]):
                 self._prefilter[key] = (1.0, None)
             else:
-                self._prefilter[key] = _strict_eps_lp(*free, self.m_n)
+                self._prefilter[key] = _strict_eps_lp(*rows, self.m_n)
         return self._prefilter[key]
 
-    def extend(self, combo: tuple, D: np.ndarray, d0: np.ndarray, s: np.ndarray | None):
-        """Extends a prefix of followers, whose region has rows D s + d0 >= 0
-        and interior point s, by the next follower playing the last action
-        of combo. Returns the rows and an interior point of the extended
-        region, or None when its interior is empty (then so is that of every
-        profile extending it)."""
+    def extend(self, combo: tuple, s: np.ndarray | None):
+        """Rows (D, d0) and an interior point of the prefix combo's region,
+        given an interior point s of its parent prefix's region (None while
+        no follower so far has a row); None when the interior is empty, and
+        then so is that of every profile extending combo."""
         k = len(combo) - 1
-        p, a = self.followers[k], combo[k]
-        eps, s_a = self.prefilter(p, a)
+        eps, s_a = self.prefilter(k, combo[k])
         if eps <= EPS_TOL:
             return None
-        if self.ff[p] and self.ff[p][0][0] < k:
-            # assigning p tightens its own bound and its neighbours' bounds
-            rows = self.rows(combo)
-            if rows is None:
-                return None
-            D, d0 = rows
-        else:
-            rows, d0_p = self.free[p][a]
-            if not len(rows):  # no row and no bound moved: same region
-                return D, d0, s
-            if not len(D):
-                return rows, d0_p, s_a
-            D = np.vstack([D, rows])
-            d0 = np.concatenate([d0, d0_p])
+        rows = self.rows(combo)
+        if rows is None:
+            return None
+        D, d0 = rows
         if s is None:
             s = s_a
         # s is feasible for the joint margin LP, whose optimum is therefore
         # at least s's smallest margin: no LP needed when that is clear
-        if s is not None and (D @ s + d0).min(initial=np.inf) > 2 * EPS_TOL:
+        if not len(D) or (D @ s + d0).min() > 2 * EPS_TOL:
             return D, d0, s
         eps, witness = _emptiness(self, D, d0)
         if eps <= EPS_TOL:
@@ -480,11 +465,11 @@ def search_profiles(blocks: _Blocks, work, time_limit: float | None = None):
     None.
 
     Depth-first over the followers: each node extends a prefix by one
-    follower's action (``_Blocks.extend``), and a prefix whose region has an
-    empty interior cuts off its whole subtree, which still counts at its
-    full size. Once the time limit has passed, stops before the next node
-    provided one result exists. Returns (results, profiles covered,
-    truncated).
+    follower's action (``_Blocks.extend``, whose rows come from the prefix
+    alone), and a prefix whose region has an empty interior cuts off its
+    whole subtree, which still counts at its full size. Once the time limit
+    has passed, stops before the next node provided one result exists.
+    Returns (results, profiles covered, truncated).
     """
     followers = blocks.followers
     sizes = [blocks.game.num_actions(p) for p in followers]
@@ -506,7 +491,7 @@ def search_profiles(blocks: _Blocks, work, time_limit: float | None = None):
         for a in range(sizes[depth]):
             if deadline is not None and time.perf_counter() > deadline and results:
                 return False
-            child = blocks.extend(combo + (a,), D, d0, s)
+            child = blocks.extend(combo + (a,), s)
             if child is None:
                 covered += math.prod(sizes[depth + 1 :])
                 continue
