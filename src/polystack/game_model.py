@@ -134,7 +134,6 @@ class PolymatrixGame:
 class ValidationReport:
     game_class: GameClass
     violations: list[str] = field(default_factory=list)
-    renumbering: dict[int, int] | None = None
 
 
 def payoff_violations(game: PolymatrixGame) -> list[str]:
