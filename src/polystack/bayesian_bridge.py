@@ -55,10 +55,13 @@ class BayesianGame:
         for t in self.types:
             if t.follower_payoff.shape != shape or t.leader_payoff.shape != shape:
                 raise ValueError(f"type {t.name!r} payoff shape mismatch")
-            if t.prob < 0:
-                raise ValueError(f"type {t.name!r} has negative probability")
+            if not (np.isfinite(t.follower_payoff).all() and np.isfinite(t.leader_payoff).all()):
+                raise ValueError(f"type {t.name!r} has non-finite payoffs")
+            # written so that NaN, which compares false, fails too
+            if not t.prob >= 0:
+                raise ValueError(f"type {t.name!r} has probability {t.prob!r}, need a number >= 0")
         probs = sum(t.prob for t in self.types)
-        if abs(probs - 1.0) > 1e-9:
+        if not abs(probs - 1.0) <= 1e-9:
             raise ValueError(f"type probabilities sum to {probs!r}, not 1")
         if self.kind == "independent":
             ref = self.types[0].leader_payoff

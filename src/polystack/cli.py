@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import sys
 import time
@@ -102,6 +103,11 @@ def _load_solvable_game(path: str) -> PolymatrixGame:
     return game
 
 
+def _check_time_limit(time_limit: float | None) -> None:
+    if time_limit is not None and not time_limit >= 0:
+        raise DomainError(f"--time-limit must be a non-negative number, got {time_limit!r}")
+
+
 def _checked_strategy(probs, game: PolymatrixGame) -> MixedStrategy:
     try:
         s = MixedStrategy(game.leader, np.array(probs, dtype=float))
@@ -165,6 +171,7 @@ def _cmd_solve(args) -> int:
     game = _load_solvable_game(args.game)
     if args.mode in ("pessimistic", "apx") and not 0 < args.alpha < float("inf"):
         raise DomainError(f"alpha must be positive and finite, got {args.alpha!r}")
+    _check_time_limit(args.time_limit)
     try:
         if args.mode == "pessimistic":
             res = solve_plfe(game, alpha=args.alpha, time_limit=args.time_limit)
@@ -212,15 +219,13 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    data = _read_json(args.input)
     try:
         if args.to == "polymatrix":
-            bg = bayesian_bridge.bg_from_json_dict(data)
+            bg = bayesian_bridge.bg_from_json_dict(_read_json(args.input))
             game = bayesian_bridge.bg_to_polymatrix(bg)
             _emit(game_to_json_dict(game))
         else:
-            game, _ = game_from_json_dict(data)
-            bg = bayesian_bridge.polymatrix_to_bg(game)
+            bg = bayesian_bridge.polymatrix_to_bg(_load_solvable_game(args.input))
             _emit(bayesian_bridge.bg_to_json_dict(bg))
     except (ValueError, GameClassError) as exc:
         raise DomainError(str(exc)) from exc
@@ -319,6 +324,7 @@ def _cmd_bench(args) -> int:
         raise DomainError(f"--seeds must be at least 1, got {args.seeds}")
     if any(n < 2 for n in args.n) or any(m < 1 for m in args.m):
         raise DomainError("--n needs at least 2 players and --m at least 1 action")
+    _check_time_limit(args.time_limit)
     sys.stdout.write("n,m,mean_seconds,std_seconds,timeouts,profiles_enumerated\n")
     for n in args.n:
         for m in args.m:
@@ -345,8 +351,17 @@ def _cmd_bench(args) -> int:
 # -- argument parsing ----------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads exponent forms such as -1e3 as negative numbers too, not only
+    -5 and -0.5: no option of this CLI looks like a number."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="polystack",
         description="Leader-follower equilibrium solvers for polymatrix games.",
     )
@@ -363,7 +378,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="compute an equilibrium")
     p.add_argument("--mode", required=True, choices=["pessimistic", "optimistic", "apx", "pure-olfe"])
     p.add_argument("--alpha", type=float, default=1e-6)
-    p.add_argument("--time-limit", type=float, default=None)
+    p.add_argument(
+        "--time-limit",
+        type=float,
+        default=None,
+        help="seconds after which the pessimistic and optimistic searches stop "
+        "and report the best profile found so far; does not apply to apx",
+    )
     p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.add_argument("game")
     p.set_defaults(func=_cmd_solve)
@@ -409,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_parse_int_list, default=[3, 4, 5, 6])
     p.add_argument("--m", type=_parse_int_list, default=list(range(2, 13)))
     p.add_argument("--seeds", type=int, default=20)
-    p.add_argument("--time-limit", type=float, default=60.0)
+    p.add_argument("--time-limit", type=float, default=60.0, help="time limit of each solve in seconds")
     p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.set_defaults(func=_cmd_bench)
     return ap

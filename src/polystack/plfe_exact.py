@@ -469,8 +469,11 @@ def search_profiles(blocks: _Blocks, work, time_limit: float | None = None):
     alone), and a prefix whose region has an empty interior cuts off its
     whole subtree, which still counts at its full size. Once the time limit
     has passed, stops before the next node provided one result exists.
-    Returns (results, profiles covered, truncated).
+    Returns (results, profiles covered, truncated). Raises ValueError on a
+    negative or NaN time limit.
     """
+    if time_limit is not None and not time_limit >= 0:
+        raise ValueError(f"time limit must be a non-negative number, got {time_limit!r}")
     followers = blocks.followers
     sizes = [blocks.game.num_actions(p) for p in followers]
     deadline = None if time_limit is None else time.perf_counter() + time_limit

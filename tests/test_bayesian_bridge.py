@@ -197,6 +197,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="shared"):
             BayesianGame(("l0", "l1"), ("f0", "f1"), (t1, t2), "independent")
 
+    @pytest.mark.parametrize(
+        "prob,payoff,message",
+        [(float("nan"), 0.0, "'t' has probability nan"), (1.0, float("inf"), "'t' has non-finite payoffs")],
+        ids=["nan-prob", "inf-payoff"],
+    )
+    def test_non_finite_type_rejected(self, prob, payoff, message):
+        t = FollowerType("t", prob, np.full((2, 2), payoff), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match=message):
+            BayesianGame(("l0", "l1"), ("f0", "f1"), (t,), "interdependent")
+
     def test_bad_kind(self):
         t = FollowerType("t", 1.0, np.zeros((2, 2)), np.zeros((2, 2)))
         with pytest.raises(ValueError):

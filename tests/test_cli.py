@@ -102,6 +102,13 @@ class TestSolve:
             code, out = run_out(capsys, ["solve", "--mode", mode, leader_only_file])
             assert code == 0 and json.loads(out)["value"] == 0.0, mode
 
+    @pytest.mark.parametrize("mode", ["pessimistic", "optimistic"])
+    @pytest.mark.parametrize("limit", ["nan", "-1"])
+    def test_bad_time_limit_is_domain_error(self, capsys, game_file, mode, limit):
+        assert_domain_error(
+            capsys, ["solve", "--mode", mode, "--time-limit", limit, game_file], "--time-limit"
+        )
+
     def test_threads_byte_identical(self, capsys, game_file):
         _, a = run_out(capsys, ["solve", "--mode", "pessimistic", "--threads", "1", game_file])
         _, b = run_out(capsys, ["solve", "--mode", "pessimistic", "--threads", "4", game_file])
@@ -166,6 +173,7 @@ class TestMalformedGame:
             ["solve", "--mode", "optimistic", game],
             ["eval", "--strategy", strategy, "--mode", "pessimistic", game],
             ["verify", "--against", "1d", game, strategy],
+            ["convert", "--to", "bayesian", game],
         ):
             assert run(argv) == 1, argv
             captured = capsys.readouterr()
@@ -289,6 +297,12 @@ class TestGenerate:
         assert code == 0
         assert len(json.loads(out)["players"][0]["actions"]) == 25
 
+    def test_negative_exponent_form(self, capsys):
+        argv = ["generate", "random", "--players", "3", "--actions", "2"]
+        code, spaced = run_out(capsys, [*argv, "--lo", "-1e3", "--hi", "5"])
+        assert code == 0
+        assert spaced == run_out(capsys, [*argv, "--lo=-1e3", "--hi", "5"])[1]
+
     def test_complete_graph_rejected(self, capsys, tmp_path):
         graph = tmp_path / "g.json"
         graph.write_text('{"vertices": 3, "edges": [[1, 2], [2, 3], [1, 3]]}')
@@ -357,8 +371,13 @@ class TestConvert:
                 "malformed type 0: missing 'follower_payoff'",
             ),
             (lambda t: "not an object", "type 0 is not an object"),
+            (lambda t: {**t, "prob": float("nan")}, "type 'player_1' has probability nan"),
+            (
+                lambda t: {**t, "follower_payoff": [[float("nan")] * len(r) for r in t["follower_payoff"]]},
+                "type 'player_1' has non-finite payoffs",
+            ),
         ],
-        ids=["no-follower-payoff", "type-not-object"],
+        ids=["no-follower-payoff", "type-not-object", "nan-prob", "nan-payoff"],
     )
     def test_unreadable_bayesian_type(self, capsys, game_file, tmp_path, edit, message):
         _, bg = run_out(capsys, ["convert", "--to", "bayesian", game_file])
@@ -462,7 +481,10 @@ class TestVerify:
 
 
 class TestBench:
-    @pytest.mark.parametrize("flag,value", [("--seeds", "0"), ("--n", "1"), ("--m", "0")])
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--seeds", "0"), ("--n", "1"), ("--m", "0"), ("--time-limit", "nan"), ("--time-limit", "-1")],
+    )
     def test_bad_argument_is_domain_error(self, capsys, flag, value):
         assert run(["bench", "--n", "3", "--m", "2", "--seeds", "1", flag, value]) == 1
         captured = capsys.readouterr()

@@ -228,6 +228,13 @@ class TestSolvePlfe:
         full = solve_plfe(g)
         assert full.value >= r.value - 1e-9
 
+    @pytest.mark.parametrize("limit", [float("nan"), -1.0])
+    def test_bad_time_limit_rejected(self, limit):
+        g = random_oltpg(3, 2, 0)
+        for solve in (solve_plfe, solve_olfe):
+            with pytest.raises(ValueError, match="time limit"):
+                solve(g, time_limit=limit)
+
     def test_rejects_general_games(self):
         z = np.zeros((2, 2))
         g = PolymatrixGame(
