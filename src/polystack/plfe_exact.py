@@ -231,10 +231,6 @@ def _emptiness(
 ) -> tuple[float, MixedStrategy | None]:
     """The margin LP over the stacked rows (D, d0) of a profile or prefix."""
     m_n = blocks.m_n
-    if D.shape[0] == 0:
-        probs = np.zeros(m_n)
-        probs[0] = 1.0
-        return 1.0, MixedStrategy(blocks.game.leader, probs)
     res = lp_core.maximize(*margin_lp(D, m_n, d0))
     if res.status is lp_core.LpStatus.INFEASIBLE:
         # the profile is nowhere a joint best response, not even weakly
