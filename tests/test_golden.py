@@ -9,7 +9,6 @@ is meant to alter output, rewrite the file with
 
 import contextlib
 import io
-import itertools
 import json
 import tempfile
 from pathlib import Path
@@ -22,6 +21,8 @@ from polystack.cli import run
 from polystack.game_model import PolymatrixGame, game_to_json_dict
 from polystack.instance_gen import CnfFormula, clique_to_spg, random_oltpg, sat_to_pg_olfe
 from polystack.oracles import Graph
+
+from test_plfe_exact import _general_game
 
 GOLDEN = Path(__file__).parent / "data" / "solve_golden.json"
 TREE_MODES = ("pessimistic", "optimistic", "apx", "pure-olfe")
@@ -44,20 +45,6 @@ def _tied_tree(p):
     mp, mq = edges[(p, g.leader)]
     edges[(p, g.leader)] = (np.tile(mp[0], (len(mp), 1)), mq)
     return PolymatrixGame(g.player_ids, g.actions, g.leader, edges)
-
-
-def _general_game():
-    """A polymatrix game on a random graph with payoffs in {0, 1, 2}, so
-    actions tie; follower 2 has no edge to the leader."""
-    rng = np.random.default_rng(1)
-    actions = {p: tuple(f"a{j}" for j in range(rng.integers(2, 4))) for p in range(1, 4)}
-    actions[4] = ("l0", "l1", "l2")
-    edges = {}
-    for p, q in itertools.combinations(range(1, 5), 2):
-        if rng.random() < (0.8 if q == 4 else 0.6):
-            shape = (len(actions[p]), len(actions[q]))
-            edges[(p, q)] = (rng.integers(0, 3, shape).astype(float), rng.integers(0, 3, shape).astype(float))
-    return PolymatrixGame((1, 2, 3, 4), actions, 4, edges)
 
 
 def _bayesian(seed, types):
@@ -87,7 +74,8 @@ def cases():
     yield "bayes-3t", _bayesian(1, 3), TREE_MODES
     cnf = CnfFormula(3, ((1, 2, 3), (-1, 2, 3), (1, -2, -3)))
     yield "sat-olfe", sat_to_pg_olfe(cnf, 0.01), ("pure-olfe",)
-    yield "general-4p", _general_game(), ("pure-olfe",)
+    # payoffs in {0, 1, 2}; follower 2 has no edge to the leader
+    yield "general-4p", _general_game(1), ("pure-olfe",)
 
 
 def solve_stdout(tmp_path, game, mode):
