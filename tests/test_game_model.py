@@ -100,6 +100,49 @@ class TestPayoffAccess:
         assert (a == d.T).all() and (b == c.T).all()
 
 
+def _zero_edges(*keys):
+    return {key: (np.zeros((2, 2)), np.zeros((2, 2))) for key in keys}
+
+
+# name, player ids, leader, edges, is_one_level_tree(), followers, neighbors
+# of each player and edge end, validate's (class, violations) or None when
+# validate raises
+GRAPH_CASES = [
+    ("leader-self-edge", (1, 2), 2, _zero_edges((1, 2), (2, 2)), False, (1,),
+     {1: [2], 2: [1, 2]}, ("general_pg", ["self-edge on player 2"])),
+    ("follower-self-edge", (1, 2), 2, _zero_edges((1, 1), (1, 2)), False, (1,),
+     {1: [1, 2], 2: [1]}, ("general_pg", ["self-edge on player 1"])),
+    ("isolated-follower", (1, 2, 3), 3, _zero_edges((1, 3)), False, (1, 2),
+     {1: [3], 2: [], 3: [1]}, ("general_pg", ["followers not connected to the leader: [2]"])),
+    ("follower-edge", (1, 2, 3), 3, _zero_edges((1, 2), (1, 3), (2, 3)), False, (1, 2),
+     {1: [2, 3], 2: [1, 3], 3: [1, 2]}, ("general_pg", ["edges between followers: [(1, 2)]"])),
+    ("follower-edge-and-isolated", (1, 2, 3, 4), 4, _zero_edges((1, 2), (1, 4), (2, 4)), False, (1, 2, 3),
+     {1: [2, 4], 2: [1, 4], 3: [], 4: [1, 2]},
+     ("general_pg", ["edges between followers: [(1, 2)]", "followers not connected to the leader: [3]"])),
+    # validate raises KeyError: player 9 has no actions
+    ("leader-edge-outside-players", (1, 2), 2, _zero_edges((1, 2), (2, 9)), False, (1,),
+     {1: [2], 2: [1, 9], 9: [2]}, None),
+    ("unsorted-player-ids", (3, 1, 2), 2, _zero_edges((1, 2), (2, 3)), True, (3, 1),
+     {1: [2], 2: [1, 3], 3: [2]}, ("spg", [])),
+    ("leader-only", (1,), 1, {}, True, (), {1: []}, ("spg", [])),
+]
+
+
+class TestGraphView:
+    @pytest.mark.parametrize(
+        "ids,leader,edges,tree,followers,neighbors,report",
+        [pytest.param(*case[1:], id=case[0]) for case in GRAPH_CASES],
+    )
+    def test_matches_recorded_values(self, ids, leader, edges, tree, followers, neighbors, report):
+        g = PolymatrixGame(ids, {p: ("a", "b") for p in ids}, leader, edges)
+        assert g.is_one_level_tree() is tree
+        assert g.followers == followers
+        assert {p: g.neighbors(p) for p in neighbors} == neighbors
+        if report is not None:
+            rep = validate(g)
+            assert (rep.game_class.value, rep.violations) == report
+
+
 class TestBestResponse:
     def test_uniform_best_responses(self, star3_game):
         s = uniform(star3_game)

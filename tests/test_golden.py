@@ -1,10 +1,13 @@
-"""Byte-for-byte check of ``solve`` output against stored stdout.
+"""Byte-for-byte check of CLI output against stored output.
 
 ``tests/data/solve_golden.json`` holds, per game and mode, the stdout of
-``polystack solve`` recorded on the code that produced it. A refactor
-that must not change any answer keeps every entry equal. When a change
-is meant to alter output, rewrite the file with
-``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+``polystack solve`` recorded on the code that produced it.
+``tests/data/commands_golden.json`` holds, per game, the exit code, stdout
+and stderr of ``validate``, ``classify``, ``eval`` in both modes and
+``verify`` on a stored solve output. A refactor that must not change any
+answer keeps every entry equal. When a change is meant to alter output,
+rewrite both files with ``PYTHONPATH=src python tests/test_golden.py`` and
+review the diff.
 """
 
 import contextlib
@@ -18,13 +21,14 @@ import pytest
 
 from polystack.bayesian_bridge import BayesianGame, FollowerType, bg_to_polymatrix
 from polystack.cli import run
-from polystack.game_model import PolymatrixGame, game_to_json_dict
+from polystack.game_model import PolymatrixGame, game_from_json_dict, game_to_json_dict
 from polystack.instance_gen import CnfFormula, clique_to_spg, random_oltpg, sat_to_pg_olfe
 from polystack.oracles import Graph
 
 from test_plfe_exact import _general_game
 
 GOLDEN = Path(__file__).parent / "data" / "solve_golden.json"
+COMMANDS = Path(__file__).parent / "data" / "commands_golden.json"
 TREE_MODES = ("pessimistic", "optimistic", "apx", "pure-olfe")
 
 
@@ -58,6 +62,25 @@ def _bayesian(seed, types):
     return bg_to_polymatrix(BayesianGame(("l0", "l1", "l2"), ("f0", "f1", "f2"), kinds, "interdependent"))
 
 
+# follower 2 has no edge at all
+ISOLATED_FOLLOWER = {
+    "players": [{"id": 1, "actions": ["a", "b"]}, {"id": 2, "actions": ["c", "d"]}, {"id": 3, "actions": ["x", "y", "z"]}],
+    "leader": 3,
+    "edges": [{"p": 1, "q": 3, "payoff_p": [[3, 0, 1], [0, 2, 1]], "payoff_q": [[1, 4, 0], [2, 0, 3]]}],
+}
+
+# followers 1 and 2 share an edge, follower 3 has none
+FOLLOWER_EDGE_AND_ISOLATED = {
+    "players": [{"id": p, "actions": ["a", "b"]} for p in (1, 2, 3)] + [{"id": 4, "actions": ["x", "y", "z"]}],
+    "leader": 4,
+    "edges": [
+        {"p": 1, "q": 2, "payoff_p": [[2, 0], [0, 1]], "payoff_q": [[1, 0], [0, 2]]},
+        {"p": 1, "q": 4, "payoff_p": [[0, 1, 2], [2, 1, 0]], "payoff_q": [[3, 1, 0], [0, 2, 4]]},
+        {"p": 2, "q": 4, "payoff_p": [[1, 0, 1], [0, 2, 0]], "payoff_q": [[0, 3, 1], [2, 0, 2]]},
+    ],
+}
+
+
 def cases():
     """(name, game, modes) of every stored solve."""
     for n in range(3, 6):
@@ -76,16 +99,45 @@ def cases():
     yield "sat-olfe", sat_to_pg_olfe(cnf, 0.01), ("pure-olfe",)
     # payoffs in {0, 1, 2}; follower 2 has no edge to the leader
     yield "general-4p", _general_game(1), ("pure-olfe",)
+    yield "isolated-follower", game_from_json_dict(ISOLATED_FOLLOWER)[0], ("pure-olfe",)
+    yield "follower-edge-isolated", game_from_json_dict(FOLLOWER_EDGE_AND_ISOLATED)[0], ("pure-olfe",)
+
+
+def _run(argv):
+    """Exit code, stdout and stderr of ``polystack argv``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return [code, out.getvalue(), err.getvalue()]
 
 
 def solve_stdout(tmp_path, game, mode):
     """Exit code and stdout of ``polystack solve --mode mode`` on game."""
     path = tmp_path / "game.json"
     path.write_text(json.dumps(game_to_json_dict(game)))
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = run(["solve", "--mode", mode, str(path)])
-    return code, out.getvalue()
+    code, out, _ = _run(["solve", "--mode", mode, str(path)])
+    return code, out
+
+
+def command_outputs(tmp_path, name, game, modes):
+    """[exit code, stdout, stderr] of each command but solve on game, by
+    label. ``eval`` and ``verify`` read the game's stored pessimistic
+    output, or its pure-olfe output when it has none; ``verify`` runs the
+    one-dimensional oracle when the leader has two actions, else the grid."""
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(game_to_json_dict(game)))
+    result = tmp_path / "result.json"
+    solved = "pessimistic" if "pessimistic" in modes else "pure-olfe"
+    result.write_text(json.loads(GOLDEN.read_text())[name][solved])
+    against = "1d" if game.num_actions(game.leader) == 2 else "grid"
+    argvs = {
+        "validate": ["validate", str(path)],
+        "classify": ["classify", str(path)],
+        "eval pessimistic": ["eval", "--strategy", str(result), "--mode", "pessimistic", str(path)],
+        "eval optimistic": ["eval", "--strategy", str(result), "--mode", "optimistic", str(path)],
+        f"verify {against} {solved}": ["verify", "--against", against, str(path), str(result)],
+    }
+    return {label: _run(argv) for label, argv in argvs.items()}
 
 
 @pytest.mark.parametrize("name,game,modes", [pytest.param(*c, id=c[0]) for c in cases()])
@@ -96,11 +148,19 @@ def test_solve_stdout_matches_golden(tmp_path, name, game, modes):
         assert solve_stdout(tmp_path, game, mode) == (0, golden[mode]), f"{name} --mode {mode}"
 
 
+@pytest.mark.parametrize("name,game,modes", [pytest.param(*c, id=c[0]) for c in cases()])
+def test_commands_match_golden(tmp_path, name, game, modes):
+    golden = json.loads(COMMANDS.read_text())[name]
+    assert command_outputs(tmp_path, name, game, modes) == golden
+
+
 if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         data = {
             name: {mode: solve_stdout(Path(tmp), game, mode)[1] for mode in modes}
             for name, game, modes in cases()
         }
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+        GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+        data = {name: command_outputs(Path(tmp), name, game, modes) for name, game, modes in cases()}
+    COMMANDS.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
