@@ -25,7 +25,7 @@ class ApxReport:
 
 
 def _single_follower_game(game: PolymatrixGame, p: int) -> PolymatrixGame:
-    own, other = game.edge_payoffs(p, game.leader)
+    own, other = game.leader_edge(p)
     return PolymatrixGame(
         (1, 2),
         {1: game.actions[p], 2: game.actions[game.leader]},
@@ -46,9 +46,7 @@ def solve_plfe_apx(
     game._require_oltpg()
     if not game.followers:
         raise GameClassError("the approximation needs at least one follower")
-    nonneg = all(
-        (game.leader_matrix(p) >= 0).all() for p in game.followers
-    )
+    nonneg = all((game.leader_edge(p)[1] >= 0).all() for p in game.followers)
     if not nonneg:
         msg = "negative leader payoffs: the 1/(n-1) guarantee does not apply"
         if strict:

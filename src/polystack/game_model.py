@@ -4,6 +4,12 @@ A game lives on an undirected graph; every edge (p, q) with p < q carries
 two payoff matrices, both indexed [action of p][action of q]. The leader is
 one designated player (canonically the highest id); in a one-level tree all
 other players are leaves hanging off the leader.
+
+A game derives its graph once, at construction: the followers, each
+player's sorted neighbours, the edges between followers, the followers with
+no edge, and from these whether it is a one-level tree. A game is never
+mutated afterwards, so ``followers``, ``neighbors``, ``is_one_level_tree``
+and ``validate``'s tree messages all read those derived facts.
 """
 
 from __future__ import annotations
@@ -75,6 +81,19 @@ class PolymatrixGame:
         object.__setattr__(self, "edges", frozen)
         object.__setattr__(self, "player_ids", tuple(self.player_ids))
         object.__setattr__(self, "actions", {p: tuple(a) for p, a in self.actions.items()})
+        near: dict[int, list[int]] = {}
+        for p, q in frozen:
+            near.setdefault(p, []).append(q)
+            if q != p:
+                near.setdefault(q, []).append(p)
+        followers = tuple(p for p in self.player_ids if p != self.leader)
+        follower_edges = sorted(e for e in frozen if self.leader not in e)
+        tree = not follower_edges and set(near.get(self.leader, ())) == set(followers)
+        object.__setattr__(self, "_followers", followers)
+        object.__setattr__(self, "_neighbors", {p: sorted(qs) for p, qs in near.items()})
+        object.__setattr__(self, "_follower_edges", follower_edges)
+        object.__setattr__(self, "_isolated", sorted(set(followers) - near.keys()))
+        object.__setattr__(self, "_tree", tree)
 
     # -- basic accessors -------------------------------------------------
 
@@ -83,16 +102,10 @@ class PolymatrixGame:
 
     @property
     def followers(self) -> tuple[int, ...]:
-        return tuple(p for p in self.player_ids if p != self.leader)
+        return self._followers
 
     def neighbors(self, p: int) -> list[int]:
-        out = []
-        for a, b in self.edges:
-            if a == p:
-                out.append(b)
-            elif b == p:
-                out.append(a)
-        return sorted(out)
+        return list(self._neighbors.get(p, ()))
 
     def edge_payoffs(self, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
         """Payoff matrices of p and q on edge {p, q}, both indexed
@@ -103,30 +116,29 @@ class PolymatrixGame:
         mq, mp = self.edges[(q, p)]
         return mp.T, mq.T
 
+    def leader_edge(self, p: int) -> tuple[np.ndarray, np.ndarray]:
+        """U_{p,n} and U_{n,p}, both indexed [follower action][leader action];
+        zero matrices when follower p has no edge to the leader."""
+        if self.leader in self._neighbors.get(p, ()):
+            return self.edge_payoffs(p, self.leader)
+        zeros = np.zeros((self.num_actions(p), self.num_actions(self.leader)))
+        return zeros, zeros
+
     def follower_matrix(self, p: int) -> np.ndarray:
         """U_{p,n} indexed [follower action][leader action]."""
         self._require_oltpg()
-        own, _ = self.edge_payoffs(p, self.leader)
-        return own
+        return self.leader_edge(p)[0]
 
     def leader_matrix(self, p: int) -> np.ndarray:
         """U_{n,p} indexed [follower action][leader action]."""
         self._require_oltpg()
-        _, other = self.edge_payoffs(p, self.leader)
-        return other
+        return self.leader_edge(p)[1]
 
     def is_one_level_tree(self) -> bool:
-        followers = set(self.followers)
-        seen = set()
-        for a, b in self.edges:
-            if a != self.leader and b != self.leader:
-                return False
-            leaf = b if a == self.leader else a
-            seen.add(leaf)
-        return seen == followers
+        return self._tree
 
     def _require_oltpg(self):
-        if not self.is_one_level_tree():
+        if not self._tree:
             raise GameClassError("operation requires a one-level tree game")
 
 
@@ -163,14 +175,10 @@ def validate(game: PolymatrixGame) -> ValidationReport:
         return ValidationReport(GameClass.GENERAL_PG, violations)
 
     tree_violations = []
-    if not game.is_one_level_tree():
-        non_leader = [e for e in game.edges if game.leader not in e]
-        if non_leader:
-            tree_violations.append(f"edges between followers: {sorted(non_leader)}")
-        connected = {q for e in game.edges for q in e if q != game.leader}
-        missing = sorted(set(game.followers) - connected)
-        if missing:
-            tree_violations.append(f"followers not connected to the leader: {missing}")
+    if game._follower_edges:
+        tree_violations.append(f"edges between followers: {game._follower_edges}")
+    if game._isolated:
+        tree_violations.append(f"followers not connected to the leader: {game._isolated}")
     if tree_violations:
         return ValidationReport(GameClass.GENERAL_PG, tree_violations)
 
@@ -228,9 +236,10 @@ def evaluate_commitment(
     value = 0.0
     profile = {}
     for p in game.followers:
-        expected = game.follower_matrix(p) @ s_n.probs
+        own, other = game.leader_edge(p)
+        expected = own @ s_n.probs
         best = np.nonzero(expected >= expected.max() - tol)[0]
-        leader_vals = game.leader_matrix(p) @ s_n.probs
+        leader_vals = other @ s_n.probs
         picks = leader_vals[best]
         idx = int(np.argmin(picks)) if mode == "pessimistic" else int(np.argmax(picks))
         a_p = int(best[idx])

@@ -146,8 +146,7 @@ def supremum_1d(game: PolymatrixGame, tol: float = _BREAKPOINT_TOL) -> tuple[flo
     lead = {}
     points = {0.0, 1.0}
     for p in game.followers:
-        F = game.follower_matrix(p)
-        L = game.leader_matrix(p)
+        F, L = game.leader_edge(p)
         fol[p] = (F[:, 0] - F[:, 1], F[:, 1].copy())
         lead[p] = (L[:, 0] - L[:, 1], L[:, 1].copy())
         m_p = game.num_actions(p)

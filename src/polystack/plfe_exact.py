@@ -43,15 +43,6 @@ class LfeResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _leader_edge(game: PolymatrixGame, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """U_{p,n} and U_{n,p}, both indexed [follower action][leader action];
-    zero matrices when follower p has no edge to the leader."""
-    if game.leader in game.neighbors(p):
-        return game.edge_payoffs(p, game.leader)
-    zeros = np.zeros((game.num_actions(p), game.num_actions(game.leader)))
-    return zeros, zeros
-
-
 class _Blocks:
     """Per-(follower, action) rows shared by every per-profile LP.
 
@@ -80,7 +71,7 @@ class _Blocks:
         self.ff: dict[int, list] = {}
         index = {q: j for j, q in enumerate(self.followers)}
         for p in self.followers:
-            self.M[p], self.L[p] = _leader_edge(game, p)
+            self.M[p], self.L[p] = game.leader_edge(p)
             near = set(game.neighbors(p))
             self.ff[p] = []
             for q in self.followers:
