@@ -165,30 +165,29 @@ def supremum_1d(game: PolymatrixGame, tol: float = _BREAKPOINT_TOL) -> tuple[flo
             merged.append(t)
     pts = merged
 
-    def closed_value(t: float) -> float:
-        total = 0.0
+    def worst_responses(t: float):
+        """Each follower's (slope, intercept) of the leader's utility at the
+        best response worst for the leader at t, lowest index on ties."""
         for p in game.followers:
             fs, fi = fol[p]
             u = fs * t + fi
             best = np.nonzero(u >= u.max() - 1e-11)[0]
             ls, li = lead[p]
-            total += float((ls[best] * t + li[best]).min())
+            a = int(best[int(np.argmin(ls[best] * t + li[best]))])
+            yield ls[a], li[a]
+
+    def closed_value(t: float) -> float:
+        total = 0.0
+        for slope, inter in worst_responses(t):
+            total += float(slope * t + inter)
         return total
 
     def piece(lo: float, hi: float):
         """(slope, intercept) of the pessimistic value on the open interval."""
-        mid = (lo + hi) / 2.0
-        slope_sum = 0.0
-        inter_sum = 0.0
-        for p in game.followers:
-            fs, fi = fol[p]
-            u = fs * mid + fi
-            best = np.nonzero(u >= u.max() - 1e-11)[0]
-            ls, li = lead[p]
-            lv = ls[best] * mid + li[best]
-            a = int(best[int(np.argmin(lv))])
-            slope_sum += ls[a]
-            inter_sum += li[a]
+        slope_sum = inter_sum = 0.0
+        for slope, inter in worst_responses((lo + hi) / 2.0):
+            slope_sum += slope
+            inter_sum += inter
         return slope_sum, inter_sum
 
     closed_max = max(closed_value(t) for t in pts)
