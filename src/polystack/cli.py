@@ -10,6 +10,7 @@ at 17 significant digits so identical runs are byte-identical. Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import statistics
@@ -190,9 +191,7 @@ def _cmd_solve(args) -> int:
             out["best_follower"] = report.best_follower
             out["certified_lower_bound"] = report.certified_lower_bound
             out["guarantee_valid"] = report.guarantee_valid
-    except GameClassError as exc:
-        raise DomainError(str(exc)) from exc
-    except NoPureCommitmentError as exc:
+    except (GameClassError, NoPureCommitmentError) as exc:
         raise DomainError(str(exc)) from exc
     except SolverFailure as exc:
         raise DomainError(f"solver failure: {exc}") from exc
@@ -436,8 +435,11 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_parser = functools.cache(build_parser)  # built on the first run, then reused
+
+
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except DomainError as exc:
