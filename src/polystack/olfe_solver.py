@@ -49,12 +49,11 @@ def olfe_profile_lp(
 
 
 def _profile_lp(blocks: _Blocks, combo: tuple, D: np.ndarray, d0: np.ndarray):
-    A_ub, b_ub = (-D, d0) if len(D) else (None, None)
     A_eq = np.ones((1, blocks.m_n))
     c = np.zeros(blocks.m_n)
     for p, a in zip(blocks.followers, combo):
         c += blocks.L[p][a]
-    res = lp_core.maximize(c, A_ub, b_ub, A_eq, [1.0])
+    res = lp_core.maximize(c, -D, d0, A_eq, [1.0])
     if res.status is lp_core.LpStatus.INFEASIBLE:
         return None
     if res.status is not lp_core.LpStatus.OPTIMAL:
