@@ -4,7 +4,11 @@ brute-force oracles, and benchmark solver scaling.
 
 All results are JSON on stdout (schema "polystack/1") with floats printed
 at 17 significant digits so identical runs are byte-identical. Exit codes:
-0 success, 1 domain error, 2 usage error.
+0 success, 1 domain error, 2 usage error. Commands raise; ``run`` alone
+turns a failure into ``error: <message>`` on stderr and exit 1: a
+``DomainError`` (bad input), a ``GameClassError`` or a
+``NoPureCommitmentError``, and a ``SolverFailure`` as
+``error: solver failure: <message>``.
 """
 
 from __future__ import annotations
@@ -173,28 +177,20 @@ def _cmd_solve(args) -> int:
     if args.mode in ("pessimistic", "apx") and not 0 < args.alpha < float("inf"):
         raise DomainError(f"alpha must be positive and finite, got {args.alpha!r}")
     _check_time_limit(args.time_limit)
-    try:
-        if args.mode == "pessimistic":
-            res = solve_plfe(game, alpha=args.alpha, time_limit=args.time_limit)
-            out = _result_json(args.mode, res)
-        elif args.mode in ("optimistic", "pure-olfe"):
-            if args.mode == "optimistic" and not game.is_one_level_tree():
-                raise DomainError(
-                    "mode optimistic requires a one-level tree game; use pure-olfe"
-                )
-            res = solve_olfe(game, time_limit=args.time_limit)
-            out = _result_json(args.mode, res)
-        else:  # apx
-            report = solve_plfe_apx(game, alpha=args.alpha)
-            out = _result_json(args.mode, report.result)
-            out["subgame_value"] = report.subgame_value
-            out["best_follower"] = report.best_follower
-            out["certified_lower_bound"] = report.certified_lower_bound
-            out["guarantee_valid"] = report.guarantee_valid
-    except (GameClassError, NoPureCommitmentError) as exc:
-        raise DomainError(str(exc)) from exc
-    except SolverFailure as exc:
-        raise DomainError(f"solver failure: {exc}") from exc
+    if args.mode == "pessimistic":
+        res = solve_plfe(game, alpha=args.alpha, time_limit=args.time_limit)
+        out = _result_json(args.mode, res)
+    elif args.mode in ("optimistic", "pure-olfe"):
+        if args.mode == "optimistic" and not game.is_one_level_tree():
+            raise DomainError("mode optimistic requires a one-level tree game; use pure-olfe")
+        out = _result_json(args.mode, solve_olfe(game, time_limit=args.time_limit))
+    else:  # apx
+        report = solve_plfe_apx(game, alpha=args.alpha)
+        out = _result_json(args.mode, report.result)
+        out["subgame_value"] = report.subgame_value
+        out["best_follower"] = report.best_follower
+        out["certified_lower_bound"] = report.certified_lower_bound
+        out["guarantee_valid"] = report.guarantee_valid
     _emit(out)
     return 0
 
@@ -202,10 +198,7 @@ def _cmd_solve(args) -> int:
 def _cmd_eval(args) -> int:
     game = _load_solvable_game(args.game)
     s = _load_strategy(args.strategy, game)
-    try:
-        value, profile = evaluate_commitment(game, s, args.mode)
-    except GameClassError as exc:
-        raise DomainError(str(exc)) from exc
+    value, profile = evaluate_commitment(game, s, args.mode)
     _emit(
         {
             "schema": SCHEMA,
@@ -226,7 +219,7 @@ def _cmd_convert(args) -> int:
         else:
             bg = bayesian_bridge.polymatrix_to_bg(_load_solvable_game(args.input))
             _emit(bayesian_bridge.bg_to_json_dict(bg))
-    except (ValueError, GameClassError) as exc:
+    except ValueError as exc:
         raise DomainError(str(exc)) from exc
     return 0
 
@@ -299,7 +292,7 @@ def _cmd_verify(args) -> int:
     else:
         try:
             sup, attained = oracles.supremum_1d(game)
-        except (ValueError, GameClassError) as exc:
+        except ValueError as exc:
             raise DomainError(str(exc)) from exc
         good = abs(sup - value) <= 1e-6
         checks.append(
@@ -442,9 +435,11 @@ def run(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except DomainError as exc:
+    except (DomainError, GameClassError, NoPureCommitmentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except SolverFailure as exc:
+        print(f"error: solver failure: {exc}", file=sys.stderr)
+    return 1
 
 
 def main() -> None:

@@ -22,10 +22,11 @@ import numpy as np
 from . import lp_core
 from .game_model import MixedStrategy, PolymatrixGame
 from .plfe_exact import (
-    VALUE_TIE_TOL,
     LfeResult,
     SolverFailure,
     _Blocks,
+    _optimum,
+    contenders,
     search_profiles,
     within_simplex,
 )
@@ -53,12 +54,8 @@ def _profile_lp(blocks: _Blocks, combo: tuple, D: np.ndarray, d0: np.ndarray):
     c = np.zeros(blocks.m_n)
     for p, a in zip(blocks.followers, combo):
         c += blocks.L[p][a]
-    res = lp_core.maximize(c, -D, d0, A_eq, [1.0])
-    if res.status is lp_core.LpStatus.INFEASIBLE:
-        return None
-    if res.status is not lp_core.LpStatus.OPTIMAL:
-        raise SolverFailure(f"optimistic profile LP ended with {res.status}")
-    return float(res.objective), MixedStrategy(blocks.game.leader, res.x)
+    got = _optimum(lp_core.maximize(c, -D, d0, A_eq, [1.0]), "optimistic profile", infeasible=True)
+    return None if got is None else (float(got[1]), MixedStrategy(blocks.game.leader, got[0]))
 
 
 def solve_olfe(game: PolymatrixGame, time_limit: float | None = None) -> LfeResult:
@@ -81,8 +78,7 @@ def solve_olfe(game: PolymatrixGame, time_limit: float | None = None) -> LfeResu
         raise NoPureCommitmentError(
             "no commitment makes any follower profile a pure Nash equilibrium"
         )
-    best_v = max(r[0] for r in results)
-    v, combo, s = next(r for r in results if r[0] >= best_v - VALUE_TIE_TOL)
+    v, combo, s = contenders(results)[0]
     return LfeResult(
         value=float(v),
         strategy=within_simplex(s),

@@ -173,10 +173,8 @@ class _Blocks:
         # at least s's smallest margin: no LP needed when that is clear
         if not len(D) or (D @ s + d0).min() > 2 * EPS_TOL:
             return D, d0, s
-        eps, witness = _emptiness(self, D, d0)
-        if eps <= EPS_TOL:
-            return None
-        return D, d0, witness.probs
+        eps, s = _emptiness(D, d0, self.m_n)
+        return None if eps <= EPS_TOL else (D, d0, s)
 
 
 def margin_lp(D: np.ndarray, m_n: int, d0: np.ndarray):
@@ -197,14 +195,29 @@ def margin_lp(D: np.ndarray, m_n: int, d0: np.ndarray):
     return c, A_ub, b_ub, A_eq, [1.0]
 
 
-def _strict_eps_lp(D: np.ndarray, d0: np.ndarray, m_n: int) -> tuple[float, np.ndarray | None]:
-    res = lp_core.maximize(*margin_lp(D, m_n, d0))
-    if res.status is lp_core.LpStatus.INFEASIBLE:
-        # even eps = 0 needs D s >= 0 somewhere; empty region
-        return 0.0, None
+def _optimum(res: lp_core.DenseResult, lp: str, detail: str = "", infeasible: bool = False):
+    """(x, objective) of an optimal LP result; None for an infeasible one if
+    ``infeasible``. Else raises a SolverFailure naming the LP, plus detail."""
+    if infeasible and res.status is lp_core.LpStatus.INFEASIBLE:
+        return None
     if res.status is not lp_core.LpStatus.OPTIMAL:
-        raise SolverFailure(f"interior-check LP ended with {res.status}")
-    return float(res.objective), res.x[:m_n]
+        raise SolverFailure(f"{lp} LP ended with {res.status}{detail}")
+    return res.x, res.objective
+
+
+def _margin(res: lp_core.DenseResult, lp: str, m_n: int) -> tuple[float, np.ndarray | None]:
+    """(max margin, point) of a margin LP; (0.0, None) if even eps = 0 is infeasible."""
+    got = _optimum(res, lp, infeasible=True)
+    return (0.0, None) if got is None else (float(got[1]), got[0][:m_n])
+
+
+def _strict_eps_lp(D: np.ndarray, d0: np.ndarray, m_n: int) -> tuple[float, np.ndarray | None]:
+    return _margin(lp_core.maximize(*margin_lp(D, m_n, d0)), "interior-check", m_n)
+
+
+def _emptiness(D: np.ndarray, d0: np.ndarray, m_n: int) -> tuple[float, np.ndarray | None]:
+    """The margin LP over the stacked rows (D, d0) of a profile or prefix."""
+    return _margin(lp_core.maximize(*margin_lp(D, m_n, d0)), "emptiness", m_n)
 
 
 def emptiness_check(
@@ -214,32 +227,19 @@ def emptiness_check(
     strict best response. Zero means the region has empty interior."""
     blocks = _Blocks(game)
     rows = blocks.rows(tuple(profile[p] for p in blocks.followers))
-    return (0.0, None) if rows is None else _emptiness(blocks, *rows)
+    eps, s = (0.0, None) if rows is None else _emptiness(*rows, blocks.m_n)
+    return eps, None if s is None else MixedStrategy(game.leader, s)
 
 
-def _emptiness(
-    blocks: _Blocks, D: np.ndarray, d0: np.ndarray
-) -> tuple[float, MixedStrategy | None]:
-    """The margin LP over the stacked rows (D, d0) of a profile or prefix."""
-    m_n = blocks.m_n
-    res = lp_core.maximize(*margin_lp(D, m_n, d0))
-    if res.status is lp_core.LpStatus.INFEASIBLE:
-        # the profile is nowhere a joint best response, not even weakly
-        return 0.0, None
-    if res.status is not lp_core.LpStatus.OPTIMAL:
-        raise SolverFailure(f"emptiness LP ended with {res.status}")
-    return float(res.objective), MixedStrategy(blocks.game.leader, res.x[:m_n])
-
-
-def _tie_rows(blocks: _Blocks, profile: dict[int, int], ncols: int, v: int) -> np.ndarray:
+def _tie_rows(blocks: _Blocks, combo: tuple, ncols: int, v: int) -> np.ndarray:
     """Rows -L[p][a2] s + v+_i - v-_i <= 0 over each follower p, the i-th,
-    and each a2 in the tie class of profile[p]: v+_i - v-_i, the leader's
-    payoff against p, is at most the leader's payoff against any tied
-    action. The v+ columns start at v, the v- columns follow them."""
+    and each a2 in the tie class of p's action in combo: v+_i - v-_i, the
+    leader's payoff against p, is at most the leader's payoff against any
+    tied action. The v+ columns start at v, the v- columns follow them."""
     nf = len(blocks.followers)
     rows = []
-    for i, p in enumerate(blocks.followers):
-        for a2 in blocks.tie_set[p][profile[p]]:
+    for i, (p, a) in enumerate(zip(blocks.followers, combo)):
+        for a2 in blocks.tie_set[p][a]:
             row = np.zeros(ncols)
             row[v + i] = 1.0
             row[v + nf + i] = -1.0
@@ -257,7 +257,7 @@ def _value_row(ncols: int, v: int, nf: int) -> np.ndarray:
     return row
 
 
-def _maxmin_matrices(blocks: _Blocks, profile: dict[int, int], D: np.ndarray):
+def _maxmin_matrices(blocks: _Blocks, combo: tuple, D: np.ndarray):
     """Arguments (c, A_ub, b_ub, A_eq, b_eq) of the max-min LP over the
     profile's stacked rows D, one zeta per row: D s - zeta = 0; and the
     zeta column of each (follower, non-tied action).
@@ -268,11 +268,11 @@ def _maxmin_matrices(blocks: _Blocks, profile: dict[int, int], D: np.ndarray):
     m_n = blocks.m_n
     nf = len(followers)
     zcol = m_n + 2 * nf
-    keys = [(p, a2) for p in followers for a2 in blocks.non_tied[p][profile[p]]]
+    keys = [(p, a2) for p, a in zip(followers, combo) for a2 in blocks.non_tied[p][a]]
     nz = len(keys)
     ncols = zcol + nz
 
-    A_ub = _tie_rows(blocks, profile, ncols, m_n)
+    A_ub = _tie_rows(blocks, combo, ncols, m_n)
     b_ub = np.zeros(A_ub.shape[0])
 
     A_eq = np.zeros((1 + nz, ncols))
@@ -294,28 +294,24 @@ def _tree_blocks(game: PolymatrixGame) -> _Blocks:
     return _Blocks(game)
 
 
-def _tree_rows(game: PolymatrixGame, profile: dict[int, int]) -> tuple[_Blocks, np.ndarray]:
-    """The blocks of a one-level tree game and the profile's stacked rows."""
+def _tree_rows(game: PolymatrixGame, profile: dict[int, int]) -> tuple[_Blocks, tuple, np.ndarray]:
+    """A tree game's blocks, the profile's combo and its stacked rows."""
     blocks = _tree_blocks(game)
-    D, _ = blocks.rows(tuple(profile[p] for p in blocks.followers))
-    return blocks, D
+    combo = tuple(profile[p] for p in blocks.followers)
+    return blocks, combo, blocks.rows(combo)[0]
 
 
 def solve_max_min(
     game: PolymatrixGame, profile: dict[int, int]
 ) -> tuple[float, MixedStrategy, dict[tuple[int, int], float]]:
-    blocks, D = _tree_rows(game, profile)
-    return _max_min(blocks, profile, D)
+    return _max_min(*_tree_rows(game, profile))
 
 
-def _max_min(blocks: _Blocks, profile: dict[int, int], D: np.ndarray):
-    lp, col = _maxmin_matrices(blocks, profile, D)
-    res = lp_core.maximize(*lp)
-    if res.status is not lp_core.LpStatus.OPTIMAL:
-        raise SolverFailure(f"max-min LP ended with {res.status}")
-    zeta = {key: float(res.x[j]) for key, j in col.items()}
-    s = MixedStrategy(blocks.game.leader, res.x[: blocks.m_n])
-    return float(res.objective), s, zeta
+def _max_min(blocks: _Blocks, combo: tuple, D: np.ndarray):
+    lp, col = _maxmin_matrices(blocks, combo, D)
+    x, value = _optimum(lp_core.maximize(*lp), "max-min")
+    zeta = {key: float(x[j]) for key, j in col.items()}
+    return float(value), MixedStrategy(blocks.game.leader, x[: blocks.m_n]), zeta
 
 
 def attainment_flag(
@@ -329,14 +325,12 @@ def attainment_flag(
     total slack; the supremum is declared unattained only if some non-tied
     action still has zero slack *and* it is strictly worse for the leader.
     """
-    blocks, D = _tree_rows(game, profile)
-    if value is None:
-        value, _, _ = _max_min(blocks, profile, D)
-    beta, zeta_max, _ = _attainment(blocks, profile, D, value)
-    return beta, zeta_max
+    blocks, combo, D = _tree_rows(game, profile)
+    value = _max_min(blocks, combo, D)[0] if value is None else value
+    return _attainment(blocks, combo, D, value)[:2]
 
 
-def _attainment(blocks: _Blocks, profile: dict[int, int], D: np.ndarray, value: float):
+def _attainment(blocks: _Blocks, combo: tuple, D: np.ndarray, value: float):
     """Returns (beta, zeta_max, witness strategy or None).
 
     Maximizes total slack over the optimal face (value held exactly; a
@@ -346,7 +340,7 @@ def _attainment(blocks: _Blocks, profile: dict[int, int], D: np.ndarray, value: 
     slack at zero which another point of the face makes positive, so each
     zero slack that would flag non-attainment is maximized on its own, and
     the face points found are averaged before the flag is read again."""
-    (c, A_ub, b_ub, A_eq, b_eq), col = _maxmin_matrices(blocks, profile, D)
+    (c, A_ub, b_ub, A_eq, b_eq), col = _maxmin_matrices(blocks, combo, D)
     if not col:
         return False, {}, None
     m_n = blocks.m_n
@@ -359,37 +353,32 @@ def _attainment(blocks: _Blocks, profile: dict[int, int], D: np.ndarray, value: 
         res = lp_core.maximize(c2, A_ub2, b_ub2, A_eq, b_eq)
         if res.status is lp_core.LpStatus.OPTIMAL:
             break
-    if res.status is not lp_core.LpStatus.OPTIMAL:
-        raise SolverFailure(f"attainment LP ended with {res.status}")
+    x, _ = _optimum(res, "attainment")
 
     def witnesses(x):
         """Zeta columns at zero slack whose action is strictly worse for
         the leader than the profile's tied actions."""
         s = x[:m_n]
         out = []
-        for p in blocks.followers:
-            v_p = float((blocks.L[p][blocks.tie_set[p][profile[p]]] @ s).min())
-            for a2 in blocks.non_tied[p][profile[p]]:
+        for p, a in zip(blocks.followers, combo):
+            v_p = float((blocks.L[p][blocks.tie_set[p][a]] @ s).min())
+            for a2 in blocks.non_tied[p][a]:
                 j = col[(p, a2)]
                 if x[j] <= ZETA_TOL and float(blocks.L[p][a2] @ s) < v_p - 1e-9:
                     out.append(j)
         return out
 
-    x = res.x
     pending = witnesses(x)
-    if pending:
-        points = [x]
-        for j in pending:
-            c3 = np.zeros(ncols)
-            c3[j] = 1.0
-            res = lp_core.maximize(c3, A_ub2, b_ub2, A_eq, b_eq)
-            if res.status is not lp_core.LpStatus.OPTIMAL:
-                raise SolverFailure(f"attainment LP ended with {res.status}")
-            if res.objective > ZETA_TOL:
-                points.append(res.x)
-        if len(points) > 1:
-            x = np.mean(points, axis=0)
-            pending = witnesses(x)
+    points = [x]
+    for j in pending:
+        c3 = np.zeros(ncols)
+        c3[j] = 1.0
+        face, slack = _optimum(lp_core.maximize(c3, A_ub2, b_ub2, A_eq, b_eq), "attainment")
+        if slack > ZETA_TOL:
+            points.append(face)
+    if len(points) > 1:
+        x = np.mean(points, axis=0)
+        pending = witnesses(x)
     zeta_max = {key: float(x[j]) for key, j in col.items()}
     return bool(pending), zeta_max, MixedStrategy(blocks.game.leader, x[:m_n])
 
@@ -407,13 +396,10 @@ def find_apx(
     ``find_apx(game, profile, None, v_star, alpha)``."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    blocks, D = _tree_rows(game, profile)
-    return _find_apx(blocks, profile, D, v_star, alpha)
+    return _find_apx(*_tree_rows(game, profile), v_star, alpha)
 
 
-def _find_apx(
-    blocks: _Blocks, profile: dict[int, int], D: np.ndarray, v_star: float, alpha: float
-):
+def _find_apx(blocks: _Blocks, combo: tuple, D: np.ndarray, v_star: float, alpha: float):
     """The margin LP over D with the leader's pessimistic value held at
     v_star - alpha: columns [s, eps, v+, v-], below the tie rows and the
     value row."""
@@ -422,16 +408,13 @@ def _find_apx(
     ncols = m_n + 1 + 2 * nf
     c, A_ub, b_ub, A_eq, b_eq = margin_lp(D, m_n, 0.0)
     c, A_ub, A_eq = (np.hstack([X, np.zeros(X.shape[:-1] + (2 * nf,))]) for X in (c, A_ub, A_eq))
-    tie_rows = _tie_rows(blocks, profile, ncols, m_n + 1)
+    tie_rows = _tie_rows(blocks, combo, ncols, m_n + 1)
     A_ub = np.vstack([tie_rows, _value_row(ncols, m_n + 1, nf), A_ub])
     b_ub = np.concatenate([np.zeros(len(tie_rows)), [-(v_star - alpha)], b_ub])
     res = lp_core.maximize(c, A_ub, b_ub, A_eq, b_eq)
-    if res.status is not lp_core.LpStatus.OPTIMAL:
-        raise SolverFailure(
-            f"approximation LP ended with {res.status} "
-            f"(profile {profile}, v*={v_star}, alpha={alpha})"
-        )
-    return MixedStrategy(blocks.game.leader, res.x[:m_n])
+    profile = dict(zip(blocks.followers, combo))
+    x, _ = _optimum(res, "approximation", f" (profile {profile}, v*={v_star}, alpha={alpha})")
+    return MixedStrategy(blocks.game.leader, x[:m_n])
 
 
 def within_simplex(s: MixedStrategy) -> MixedStrategy:
@@ -442,6 +425,12 @@ def within_simplex(s: MixedStrategy) -> MixedStrategy:
         return s
     except ValueError:
         return MixedStrategy(s.player_id, np.clip(s.probs, 0.0, 1.0))
+
+
+def contenders(results: list) -> list:
+    """Results within VALUE_TIE_TOL of the best value (entry 0), in search order."""
+    best = max(r[0] for r in results)
+    return [r for r in results if r[0] >= best - VALUE_TIE_TOL]
 
 
 def search_profiles(blocks: _Blocks, work, time_limit: float | None = None):
@@ -510,12 +499,10 @@ def solve_plfe(
     blocks = _tree_blocks(game)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    followers = game.followers
 
     def work(combo, D, d0):
-        v, s, zeta = _max_min(blocks, dict(zip(followers, combo)), D)
-        raw_beta = any(z <= ZETA_TOL for z in zeta.values()) if zeta else False
-        return (v, combo, s, raw_beta)
+        v, s, zeta = _max_min(blocks, combo, D)
+        return v, combo, s, any(z <= ZETA_TOL for z in zeta.values())
 
     survivors, processed, truncated = search_profiles(blocks, work, time_limit)
     if not survivors:
@@ -524,24 +511,21 @@ def solve_plfe(
             "the leader simplex must be covered, so this is a solver defect"
         )
 
-    best_v = max(r[0] for r in survivors)
-    contenders = [r for r in survivors if r[0] >= best_v - VALUE_TIE_TOL]
-    for v, combo, s, raw_beta in contenders:  # already lexicographic
-        profile = dict(zip(followers, combo))
-        beta, _, witness = _attainment(blocks, profile, blocks.rows(combo)[0], v)
+    best = contenders(survivors)
+    for v, combo, s, raw_beta in best:
+        beta, _, witness = _attainment(blocks, combo, blocks.rows(combo)[0], v)
         if not beta:
             # prefer the slack-maximized optimum: it keeps every non-tied
             # action strictly suboptimal wherever the face allows it
             strategy = witness if witness is not None else s
             break
     else:
-        v, combo, s, raw_beta = contenders[0]
-        profile = dict(zip(followers, combo))
-        strategy = _find_apx(blocks, profile, blocks.rows(combo)[0], v, alpha)
+        v, combo, s, raw_beta = best[0]
+        strategy = _find_apx(blocks, combo, blocks.rows(combo)[0], v, alpha)
     return LfeResult(
         value=float(v),
         strategy=within_simplex(strategy),
-        profile=profile,
+        profile=dict(zip(blocks.followers, combo)),
         attained=not beta,
         alpha=alpha,
         anytime_complete=not truncated,
