@@ -383,6 +383,12 @@ def _attainment(blocks: _Blocks, combo: tuple, D: np.ndarray, value: float):
     return bool(pending), zeta_max, MixedStrategy(blocks.game.leader, x[:m_n])
 
 
+def _check_alpha(alpha: float) -> None:
+    """Raises ValueError unless 0 < alpha < inf (NaN fails too)."""
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
+
+
 def find_apx(
     game: PolymatrixGame,
     profile: dict[int, int],
@@ -394,8 +400,7 @@ def find_apx(
     supremum v_star for the given profile. The third parameter is unused
     and always None; it keeps the call form
     ``find_apx(game, profile, None, v_star, alpha)``."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    _check_alpha(alpha)
     return _find_apx(*_tree_rows(game, profile), v_star, alpha)
 
 
@@ -497,8 +502,7 @@ def solve_plfe(
     incomplete.
     """
     blocks = _tree_blocks(game)
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    _check_alpha(alpha)
 
     def work(combo, D, d0):
         v, s, zeta = _max_min(blocks, combo, D)

@@ -48,6 +48,12 @@ def test_ratio_bound_on_random_games():
         assert apx.certified_lower_bound <= apx.result.value + 1e-7
 
 
+@pytest.mark.parametrize("alpha", [np.nan, np.inf])
+def test_rejects_non_finite_alpha(knife_edge_game, alpha):
+    with pytest.raises(ValueError, match="^alpha must be positive"):
+        solve_plfe_apx(knife_edge_game, alpha=alpha)
+
+
 def test_lp_budget_is_polynomial():
     g = random_oltpg(5, 4, 9)
     lp_core.reset_lp_solve_count()

@@ -135,8 +135,19 @@ class TestFindApx:
         with pytest.raises(ValueError):
             find_apx(knife_edge_game, {1: 0}, None, 0.5, 0.0)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_rejects_non_finite_alpha(self, knife_edge_game, alpha):
+        with pytest.raises(ValueError, match="^alpha must be positive"):
+            find_apx(knife_edge_game, {1: 0}, None, 0.5, alpha)
+
 
 class TestSolvePlfe:
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_rejects_non_finite_alpha(self, knife_edge_game, alpha):
+        # a NaN alpha used to pass and come back as the result's alpha
+        with pytest.raises(ValueError, match="^alpha must be positive"):
+            solve_plfe(knife_edge_game, alpha=alpha)
+
     def test_knife_edge_supremum(self, knife_edge_game):
         r = solve_plfe(knife_edge_game, alpha=0.01)
         assert r.value == pytest.approx(0.5)
