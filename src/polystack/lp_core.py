@@ -133,11 +133,15 @@ def maximize(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> DenseResult:
     slack_cols = np.arange(n, art_start)
     art_cols = np.arange(art_start, ncols)
 
-    T = np.zeros((m, ncols + 1))
-    T[:, :n] = np.vstack((A_ub, A_eq)) * sign[:, None]
-    T[:, -1] = b * sign
-    T[slack_rows, slack_cols] = rel[slack_rows]
-    T[art_rows, art_cols] = 1.0
+    def tableau():
+        T = np.zeros((m, ncols + 1))
+        T[:, :n] = np.vstack((A_ub, A_eq)) * sign[:, None]
+        T[:, -1] = b * sign
+        T[slack_rows, slack_cols] = rel[slack_rows]
+        T[art_rows, art_cols] = 1.0
+        return T
+
+    T = tableau()
     basis = np.empty(m, dtype=int)
     basis[slack_rows] = slack_cols
     basis[art_rows] = art_cols  # a >= row starts on its artificial
@@ -171,14 +175,22 @@ def maximize(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> DenseResult:
     if status != "optimal":
         return DenseResult(LpStatus(status))  # unbounded or failed
 
+    def infeasible(xs):
+        return ((xs < -_FEAS_TOL).any() or (A_ub @ xs - b_ub > _FEAS_TOL).any()
+                or (np.abs(A_eq @ xs - b_eq) > _FEAS_TOL).any())
+
     x = np.zeros(ncols)
     x[basis] = T[:, -1]
+    # independent feasibility re-check. The tableau is never refactorized,
+    # so a vertex that rounding pushed off the rows is solved afresh from
+    # the original rows with the final basis, then checked once more.
+    if infeasible(x[:n]):
+        T = tableau()
+        try:
+            x[basis] = np.linalg.solve(T[:, basis], T[:, -1])
+        except np.linalg.LinAlgError:  # singular basis
+            return DenseResult(LpStatus.FAILED)
+        if infeasible(x[:n]):
+            return DenseResult(LpStatus.FAILED)
     xs = x[:n]
-    # independent feasibility re-check; a violated vertex is a solver failure
-    if (
-        (xs < -_FEAS_TOL).any()
-        or (A_ub @ xs - b_ub > _FEAS_TOL).any()
-        or (np.abs(A_eq @ xs - b_eq) > _FEAS_TOL).any()
-    ):
-        return DenseResult(LpStatus.FAILED)
     return DenseResult(LpStatus.OPTIMAL, xs.copy(), float(c @ xs))

@@ -92,6 +92,14 @@ class TestMaxMin:
         assert s.probs == pytest.approx([0.5, 0.5])
         assert zeta[(1, 1)] == pytest.approx(0.0, abs=1e-12)
 
+    def test_drifted_vertex_is_solved_afresh(self):
+        # the simplex tableau's vertex of this max-min LP lies 1.6e-7
+        # outside a row, so the LP used to end in SolverFailure; HiGHS
+        # gives 362.53737652567656
+        g = random_oltpg(7, 8, 1)
+        v, _, _ = solve_max_min(g, {1: 0, 2: 2, 3: 3, 4: 2, 5: 4, 6: 5})
+        assert v == 362.53737652567645
+
     def test_constant_tied_leader_payoffs(self):
         g = two_player_game([[1, 1], [1, 1]], [[3, 3], [3, 3]])
         v, _, zeta = solve_max_min(g, {1: 0})
