@@ -149,12 +149,17 @@ class ValidationReport:
 
 
 def payoff_violations(game: PolymatrixGame) -> list[str]:
-    """Self-edges and payoff matrices of the wrong shape or with non-finite
-    entries; the solvers need a game without any."""
+    """Self-edges, edge ends outside ``player_ids``, and payoff matrices of
+    the wrong shape or with non-finite entries; the solvers need a game
+    without any."""
     violations = []
     for (p, q), (mp, mq) in game.edges.items():
         if p == q:
             violations.append(f"self-edge on player {p}")
+            continue
+        outside = [e for e in (p, q) if e not in game.player_ids]
+        if outside:
+            violations += [f"edge ({p},{q}) names unknown player {e}" for e in outside]
             continue
         want = (game.num_actions(p), game.num_actions(q))
         for name, mat in (("payoff_p", mp), ("payoff_q", mq)):

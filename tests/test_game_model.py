@@ -105,8 +105,7 @@ def _zero_edges(*keys):
 
 
 # name, player ids, leader, edges, is_one_level_tree(), followers, neighbors
-# of each player and edge end, validate's (class, violations) or None when
-# validate raises
+# of each player and edge end, validate's (class, violations)
 GRAPH_CASES = [
     ("leader-self-edge", (1, 2), 2, _zero_edges((1, 2), (2, 2)), False, (1,),
      {1: [2], 2: [1, 2]}, ("general_pg", ["self-edge on player 2"])),
@@ -119,9 +118,9 @@ GRAPH_CASES = [
     ("follower-edge-and-isolated", (1, 2, 3, 4), 4, _zero_edges((1, 2), (1, 4), (2, 4)), False, (1, 2, 3),
      {1: [2, 4], 2: [1, 4], 3: [], 4: [1, 2]},
      ("general_pg", ["edges between followers: [(1, 2)]", "followers not connected to the leader: [3]"])),
-    # validate raises KeyError: player 9 has no actions
+    # player 9 has no actions either; validate used to raise KeyError
     ("leader-edge-outside-players", (1, 2), 2, _zero_edges((1, 2), (2, 9)), False, (1,),
-     {1: [2], 2: [1, 9], 9: [2]}, None),
+     {1: [2], 2: [1, 9], 9: [2]}, ("general_pg", ["edge (2,9) names unknown player 9"])),
     ("unsorted-player-ids", (3, 1, 2), 2, _zero_edges((1, 2), (2, 3)), True, (3, 1),
      {1: [2], 2: [1, 3], 3: [2]}, ("spg", [])),
     ("leader-only", (1,), 1, {}, True, (), {1: []}, ("spg", [])),
@@ -138,9 +137,16 @@ class TestGraphView:
         assert g.is_one_level_tree() is tree
         assert g.followers == followers
         assert {p: g.neighbors(p) for p in neighbors} == neighbors
-        if report is not None:
-            rep = validate(g)
-            assert (rep.game_class.value, rep.violations) == report
+        rep = validate(g)
+        assert (rep.game_class.value, rep.violations) == report
+
+    def test_edge_outside_players_with_actions(self):
+        # actions holds player 9 though player_ids does not; validate used
+        # to raise GameClassError from leader_matrix
+        g = PolymatrixGame((1, 2), {p: ("a", "b") for p in (1, 2, 9)}, 2, _zero_edges((1, 2), (2, 9)))
+        rep = validate(g)
+        want = ["edge (2,9) names unknown player 9"]
+        assert (rep.game_class.value, rep.violations) == ("general_pg", want)
 
 
 class TestBestResponse:
