@@ -212,21 +212,16 @@ def pure_utility(game: PolymatrixGame, p: int, full_profile: dict[int, int]) -> 
     return float(total)
 
 
-def best_response_set(
-    game: PolymatrixGame, p: int, s_n: MixedStrategy, tol: float = DEFAULT_TOL
-) -> set[int]:
-    """Actions of follower p within tol of the best expected utility
+def best_response_set(game: PolymatrixGame, p: int, s_n: MixedStrategy) -> set[int]:
+    """Actions of follower p within DEFAULT_TOL of the best expected utility
     against the leader commitment (one-level tree games only)."""
     s_n.validate(game.num_actions(game.leader))
     expected = game.follower_matrix(p) @ s_n.probs
-    return set(np.nonzero(expected >= expected.max() - tol)[0].tolist())
+    return set(np.nonzero(expected >= expected.max() - DEFAULT_TOL)[0].tolist())
 
 
 def evaluate_commitment(
-    game: PolymatrixGame,
-    s_n: MixedStrategy,
-    mode: str = "pessimistic",
-    tol: float = DEFAULT_TOL,
+    game: PolymatrixGame, s_n: MixedStrategy, mode: str = "pessimistic"
 ) -> tuple[float, dict[int, int]]:
     """Exact leader value of a commitment in a one-level tree game.
 
@@ -243,7 +238,7 @@ def evaluate_commitment(
     for p in game.followers:
         own, other = game.leader_edge(p)
         expected = own @ s_n.probs
-        best = np.nonzero(expected >= expected.max() - tol)[0]
+        best = np.nonzero(expected >= expected.max() - DEFAULT_TOL)[0]
         leader_vals = other @ s_n.probs
         picks = leader_vals[best]
         idx = int(np.argmin(picks)) if mode == "pessimistic" else int(np.argmax(picks))

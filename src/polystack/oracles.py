@@ -125,7 +125,7 @@ def grid_oracle(game: PolymatrixGame, k: int, mode: str = "pessimistic") -> Grid
     return GridResult(float(best_v), best_s, skipped)
 
 
-def supremum_1d(game: PolymatrixGame, tol: float = _BREAKPOINT_TOL) -> tuple[float, bool]:
+def supremum_1d(game: PolymatrixGame) -> tuple[float, bool]:
     """Exact pessimistic supremum for two leader actions.
 
     Parametrizes the commitment as (t, 1-t). Follower utilities are affine
@@ -156,12 +156,12 @@ def supremum_1d(game: PolymatrixGame, tol: float = _BREAKPOINT_TOL) -> tuple[flo
                 db = inter[b] - inter[a]
                 if da != 0.0:
                     t = db / da
-                    if -tol < t < 1 + tol:
+                    if -_BREAKPOINT_TOL < t < 1 + _BREAKPOINT_TOL:
                         points.add(min(max(t, 0.0), 1.0))
     pts = sorted(points)
     merged = [pts[0]]
     for t in pts[1:]:
-        if t - merged[-1] > tol:
+        if t - merged[-1] > _BREAKPOINT_TOL:
             merged.append(t)
     pts = merged
 
