@@ -7,9 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from polystack import cli
 from polystack.cli import dumps_canonical, run
 from polystack.game_model import game_to_json_dict
 from polystack.instance_gen import CnfFormula, random_oltpg, sat_to_pg_olfe
+from polystack.plfe_exact import SolverFailure
 
 
 @pytest.fixture
@@ -501,6 +503,15 @@ class TestBench:
         n, m, mean, std, timeouts, profiles = lines[1].split(",")
         # two followers with two actions each: 4 profiles
         assert (n, m, timeouts, profiles) == ("3", "2", "0", "4")
+
+    def test_solver_failure_is_domain_error(self, capsys, monkeypatch):
+        # run maps a SolverFailure of every command, bench's too, to exit 1
+        def fail(*args, **kwargs):
+            raise SolverFailure("max-min LP ended with LpStatus.FAILED")
+
+        monkeypatch.setattr(cli, "solve_plfe", fail)
+        assert run(["bench", "--n", "3", "--m", "2", "--seeds", "1"]) == 1
+        assert capsys.readouterr().err == "error: solver failure: max-min LP ended with LpStatus.FAILED\n"
 
 
 class TestModuleEntry:
