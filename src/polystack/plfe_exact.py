@@ -9,6 +9,14 @@ region is already empty cuts off every profile that extends it. When the
 optimum is a supremum rather than a maximum (some follower can tie with an
 action that hurts the leader), an additive alpha-approximate strategy is
 computed instead of the unattainable exact one.
+
+The per-profile LPs take a profile as a ``combo``, its actions in
+``game.followers`` order, as the search yields it; only the public
+``(game, profile)`` helpers read a profile dict. ``_optimum`` reads every
+LP result, raising a ``SolverFailure`` that names the LP. ``contenders``
+is the winner rule of PLFE and OLFE: the results within ``VALUE_TIE_TOL``
+of the best, in search order. PLFE takes the first attained one, else the
+first; OLFE takes the first.
 """
 
 from __future__ import annotations
