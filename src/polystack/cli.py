@@ -4,11 +4,11 @@ brute-force oracles, and benchmark solver scaling.
 
 All results are JSON on stdout (schema "polystack/1") with floats printed
 at 17 significant digits so identical runs are byte-identical. Exit codes:
-0 success, 1 domain error, 2 usage error. Commands raise; ``run`` alone
-turns a failure into ``error: <message>`` on stderr and exit 1: a
-``DomainError`` (bad input), a ``GameClassError`` or a
-``NoPureCommitmentError``, and a ``SolverFailure`` as
-``error: solver failure: <message>``.
+0 success, 1 domain error, 2 usage error. Commands raise on failure, and
+``run`` alone turns the failure into exit 1 and one stderr line:
+``error: <message>`` for a ``DomainError`` (bad input), a
+``GameClassError`` or a ``NoPureCommitmentError``, and
+``error: solver failure: <message>`` for a ``SolverFailure``.
 """
 
 from __future__ import annotations
@@ -178,8 +178,7 @@ def _cmd_solve(args) -> int:
         raise DomainError(f"alpha must be positive and finite, got {args.alpha!r}")
     _check_time_limit(args.time_limit)
     if args.mode == "pessimistic":
-        res = solve_plfe(game, alpha=args.alpha, time_limit=args.time_limit)
-        out = _result_json(args.mode, res)
+        out = _result_json(args.mode, solve_plfe(game, alpha=args.alpha, time_limit=args.time_limit))
     elif args.mode in ("optimistic", "pure-olfe"):
         if args.mode == "optimistic" and not game.is_one_level_tree():
             raise DomainError("mode optimistic requires a one-level tree game; use pure-olfe")
