@@ -1,0 +1,78 @@
+"""One-line digest of every LP and every ``solve`` output on a fixed game set.
+
+Run from the repository root with ``PYTHONPATH=src python tests/lp_digest.py``.
+It prints the number of games, the number of ``lp_core.maximize`` calls, a
+sha256 over every call's inputs, status, ``x`` bytes and ``repr`` of its
+objective, and a sha256 over every ``solve`` exit code, stdout and stderr.
+A change meant to keep every LP and every output bit-for-bit prints the
+same line before and after. The games: ``random_oltpg`` n 3-5 x m 2-4 x
+seeds 0-2 in both kinds, in all four tree modes; every game of
+``test_golden`` in its stored modes; and ``pure-olfe`` on
+``test_plfe_exact._general_game(0..5)``. pytest does not collect this file.
+"""
+
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from polystack import lp_core
+from polystack.game_model import game_to_json_dict
+from polystack.instance_gen import random_oltpg
+
+from test_golden import TREE_MODES, _run, cases
+from test_plfe_exact import _general_game
+
+
+def games():
+    """(game, modes) of every solve the digest covers."""
+    for kind in ("oltpg", "spg"):
+        for n in range(3, 6):
+            for m in range(2, 5):
+                for seed in range(3):
+                    yield random_oltpg(n, m, seed, kind=kind), TREE_MODES
+    for _, game, modes in cases():
+        yield game, modes
+    for seed in range(6):
+        yield _general_game(seed), ("pure-olfe",)
+
+
+def _arg_bytes(a) -> bytes:
+    if a is None:
+        return b"none;"
+    a = np.asarray(a, dtype=float)
+    return repr(a.shape).encode() + a.tobytes() + b";"
+
+
+def main():
+    lp_hash, cli_hash = hashlib.sha256(), hashlib.sha256()
+    calls = 0
+    maximize = lp_core.maximize
+
+    def recorded(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
+        nonlocal calls
+        calls += 1
+        res = maximize(c, A_ub, b_ub, A_eq, b_eq)
+        for a in (c, A_ub, b_ub, A_eq, b_eq):
+            lp_hash.update(_arg_bytes(a))
+        x = b"none" if res.x is None else res.x.tobytes()
+        lp_hash.update(f"{res.status.value};{res.objective!r};".encode() + x + b"|")
+        return res
+
+    lp_core.maximize = recorded
+    count = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "game.json"
+        for game, modes in games():
+            count += 1
+            path.write_text(json.dumps(game_to_json_dict(game)))
+            for mode in modes:
+                code, out, err = _run(["solve", "--mode", mode, str(path)])
+                cli_hash.update(f"{code}\0{out}\0{err}\0".encode())
+    print(f"games {count} calls {calls} lp {lp_hash.hexdigest()} cli {cli_hash.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()
