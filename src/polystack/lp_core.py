@@ -1,20 +1,22 @@
 """Minimal dense LP facility.
 
-A two-phase tableau simplex, sized for the small dense programs this
-package generates (tens of variables, tens of constraints). The solver is
-deterministic: identical input bytes produce the identical optimal vertex,
-which matters because downstream attainment flags read slack values off
-whichever optimum is returned.
+A two-phase tableau simplex with no module state, sized for the small
+dense programs this package generates (tens of variables, tens of
+constraints). It is deterministic: identical input bytes produce the
+identical optimal vertex, which matters because downstream attainment
+flags read slack values off whichever optimum is returned.
 
 The one entry point is ``maximize``: a dense LP over nonnegative variables
-with inequality and equality rows, returning a vertex optimum. Its tableau
-has one row per constraint and the columns ``[x | slacks | artificials |
-rhs]``: a slack per inequality row, an artificial per equality row and per
-row flipped to ``>=`` by a negative right-hand side. The basis is an int
-array holding one column per row. Artificials start the phase-1 basis but
-never enter it. The phase-2 objective is reduced one basic row at a time,
-in row order, since a matrix product sums in another order and would move
-the last bits of the returned vertex.
+with inequality and equality rows, returning a vertex optimum. Every LP
+takes one path, one without rows too. Its tableau has one row per
+constraint and the columns ``[x | slacks | artificials | rhs]``: a slack
+per inequality row, an artificial per equality row and per row flipped to
+``>=`` by a negative right-hand side. The basis is an int array holding
+one column per row. Artificials start the phase-1 basis but never enter
+it. The ratio test reads only rows with a positive entry in the entering
+column. The phase-2 objective is reduced one basic row at a time, in row
+order, since a matrix product sums in another order and would move the
+last bits of the returned vertex.
 """
 
 from __future__ import annotations
@@ -27,18 +29,6 @@ import numpy as np
 _ENTER_TOL = 1e-9
 _PIVOT_TOL = 1e-9
 _FEAS_TOL = 1e-7
-
-# counts calls into the simplex core; used by tests asserting LP budgets
-_solve_count = 0
-
-
-def lp_solve_count() -> int:
-    return _solve_count
-
-
-def reset_lp_solve_count() -> None:
-    global _solve_count
-    _solve_count = 0
 
 
 class LpStatus(Enum):
@@ -56,11 +46,10 @@ class DenseResult:
 
 
 def _pivot(T, obj, basis, r, j):
-    piv = T[r, j]
-    T[r] = T[r] / piv
+    T[r] /= T[r, j]
     col = T[:, j].copy()
     col[r] = 0.0
-    T -= np.outer(col, T[r])
+    T -= col[:, None] * T[r]
     obj -= obj[j] * T[r]
     basis[r] = j
 
@@ -85,12 +74,11 @@ def _run_phase(T, obj, basis, ncols, max_iter):
             if cand.size == 0:
                 return "optimal"
             j = int(cand[0])
-        col = T[:, j]
-        pos = col > _PIVOT_TOL
-        if not pos.any():
+        rows = np.nonzero(T[:, j] > _PIVOT_TOL)[0]
+        if rows.size == 0:
             return "unbounded"
-        ratios = np.where(pos, T[:, -1] / np.where(pos, col, 1.0), np.inf)
-        tied = np.nonzero(ratios <= ratios.min() + 1e-12)[0]
+        ratios = T[rows, -1] / T[rows, j]
+        tied = rows[ratios <= ratios.min() + 1e-12]
         r = int(tied[np.argmin(basis[tied])])
         _pivot(T, obj, basis, r, j)
     return "failed"
@@ -107,19 +95,11 @@ def _rows(A, b, n):
 def maximize(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> DenseResult:
     """Maximize ``c @ x`` over ``x >= 0`` subject to ``A_ub x <= b_ub`` and
     ``A_eq x == b_eq``. Returns a vertex optimum."""
-    global _solve_count
-    _solve_count += 1
-
     c = np.asarray(c, dtype=float)
     n = c.shape[0]
     A_ub, b_ub = _rows(A_ub, b_ub, n)
     A_eq, b_eq = _rows(A_eq, b_eq, n)
     m = len(b_ub) + len(b_eq)
-    if m == 0:
-        # only x >= 0: bounded iff no positive objective coefficient
-        if (c > _ENTER_TOL).any():
-            return DenseResult(LpStatus.UNBOUNDED)
-        return DenseResult(LpStatus.OPTIMAL, np.zeros(n), 0.0)
 
     # rows with a negative right-hand side are flipped; <= rows become >=
     b = np.concatenate((b_ub, b_eq))
@@ -192,5 +172,4 @@ def maximize(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> DenseResult:
             return DenseResult(LpStatus.FAILED)
         if infeasible(x[:n]):
             return DenseResult(LpStatus.FAILED)
-    xs = x[:n]
-    return DenseResult(LpStatus.OPTIMAL, xs.copy(), float(c @ xs))
+    return DenseResult(LpStatus.OPTIMAL, x[:n].copy(), float(c @ x[:n]))

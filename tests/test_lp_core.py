@@ -23,6 +23,14 @@ def test_unbounded():
     assert res.status is LpStatus.UNBOUNDED
 
 
+def test_rowless_lp_without_positive_cost_is_zero():
+    # no rows: the general path pivots nowhere and stops at x = 0
+    res = maximize(np.array([-1.0, 0.0]))
+    assert res.status is LpStatus.OPTIMAL
+    assert res.objective == 0.0
+    assert (res.x == 0.0).all()
+
+
 def test_eps_margin_program():
     # max eps s.t. eps <= s1 - s2, s1 + s2 = 1, s >= 0, eps <= 1
     c = np.array([0.0, 0.0, 1.0])
@@ -87,13 +95,6 @@ def test_determinism():
     r2 = maximize(c, A_ub, b_ub, np.ones((1, 5)), [1.0])
     assert r1.status is r2.status
     assert (r1.x == r2.x).all()
-
-
-def test_solve_counter():
-    lp_core.reset_lp_solve_count()
-    maximize(np.array([0.0]), A_ub=[[1.0]], b_ub=[1.0])
-    maximize(np.array([0.0]), A_ub=[[1.0]], b_ub=[1.0])
-    assert lp_core.lp_solve_count() == 2
 
 
 def test_bland_fallback_ends_beale_cycle(monkeypatch):
