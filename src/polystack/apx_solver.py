@@ -8,7 +8,6 @@ leader payoffs the other followers can only add value, which yields a
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from .game_model import GameClassError, MixedStrategy, PolymatrixGame, evaluate_commitment
@@ -34,24 +33,17 @@ def _single_follower_game(game: PolymatrixGame, p: int) -> PolymatrixGame:
     )
 
 
-def solve_plfe_apx(
-    game: PolymatrixGame, alpha: float = 1e-6, strict: bool = False
-) -> ApxReport:
+def solve_plfe_apx(game: PolymatrixGame, alpha: float = 1e-6) -> ApxReport:
     """Best-single-follower commitment; ties go to the smallest follower id.
 
     Negative leader payoff entries void the multiplicative guarantee (a
-    neglected follower could then subtract value); this is reported, or
-    raised when strict.
+    neglected follower could then subtract value); ``guarantee_valid``
+    reports this, and the solve goes on.
     """
     game._require_oltpg()
     if not game.followers:
         raise GameClassError("the approximation needs at least one follower")
     nonneg = all((game.leader_edge(p)[1] >= 0).all() for p in game.followers)
-    if not nonneg:
-        msg = "negative leader payoffs: the 1/(n-1) guarantee does not apply"
-        if strict:
-            raise ValueError(msg)
-        warnings.warn(msg)
 
     best_p = None
     best_sub = None

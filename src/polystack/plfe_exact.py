@@ -323,9 +323,7 @@ def _max_min(blocks: _Blocks, combo: tuple, D: np.ndarray):
 
 
 def attainment_flag(
-    game: PolymatrixGame,
-    profile: dict[int, int],
-    value: float | None = None,
+    game: PolymatrixGame, profile: dict[int, int]
 ) -> tuple[bool, dict[tuple[int, int], float]]:
     """Robustified non-attainment flag.
 
@@ -334,8 +332,7 @@ def attainment_flag(
     action still has zero slack *and* it is strictly worse for the leader.
     """
     blocks, combo, D = _tree_rows(game, profile)
-    value = _max_min(blocks, combo, D)[0] if value is None else value
-    return _attainment(blocks, combo, D, value)[:2]
+    return _attainment(blocks, combo, D, _max_min(blocks, combo, D)[0])[:2]
 
 
 def _attainment(blocks: _Blocks, combo: tuple, D: np.ndarray, value: float):
