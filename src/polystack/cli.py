@@ -8,7 +8,9 @@ at 17 significant digits so identical runs are byte-identical. Exit codes:
 ``run`` alone turns the failure into exit 1 and one stderr line:
 ``error: <message>`` for a ``DomainError`` (bad input), a
 ``GameClassError`` or a ``NoPureCommitmentError``, and
-``error: solver failure: <message>`` for a ``SolverFailure``.
+``error: solver failure: <message>`` for a ``SolverFailure``. ``bench``
+writes and flushes each CSV row as its grid point finishes, so a failure
+mid-run leaves the header and the finished rows on stdout.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from polystack import cli
 from polystack.cli import dumps_canonical, run
 from polystack.game_model import game_to_json_dict
 from polystack.instance_gen import CnfFormula, random_oltpg, sat_to_pg_olfe
-from polystack.plfe_exact import SolverFailure
+from polystack.plfe_exact import SolverFailure, solve_plfe
 
 
 @pytest.fixture
@@ -512,6 +512,25 @@ class TestBench:
         monkeypatch.setattr(cli, "solve_plfe", fail)
         assert run(["bench", "--n", "3", "--m", "2", "--seeds", "1"]) == 1
         assert capsys.readouterr().err == "error: solver failure: max-min LP ended with LpStatus.FAILED\n"
+
+    def test_failure_keeps_finished_rows(self, capsys, monkeypatch):
+        # rows stream as they finish: a failure in the second grid point
+        # leaves the header and the first row on stdout
+        solved = []
+
+        def fail_second(*args, **kwargs):
+            solved.append(None)
+            if len(solved) == 2:
+                raise SolverFailure("max-min LP ended with LpStatus.FAILED")
+            return solve_plfe(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_plfe", fail_second)
+        assert run(["bench", "--n", "3", "--m", "2,3", "--seeds", "1"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[0] == "n,m,mean_seconds,std_seconds,timeouts,profiles_enumerated"
+        assert len(lines) == 2 and lines[1].startswith("3,2,")
+        assert captured.err.startswith("error: solver failure: ")
 
 
 class TestModuleEntry:
