@@ -44,6 +44,18 @@ class TestSolveOlfe:
             p = solve_plfe(g)
             assert o.value >= p.value - 1e-7
 
+    @pytest.mark.parametrize("kind", ["oltpg", "spg"])
+    def test_equals_pessimistic_on_tie_free_trees(self, kind):
+        # random payoffs tie with probability zero, so every tie set is a
+        # singleton and a profile's max-min value is its optimistic value
+        for n in range(3, 6):
+            for m in range(2, 5):
+                for seed in range(3):
+                    g = random_oltpg(n, m, seed, kind=kind)
+                    o, p = solve_olfe(g), solve_plfe(g)
+                    assert o.profile == p.profile, (n, m, seed)
+                    assert o.value == pytest.approx(p.value, rel=0, abs=1e-8), (n, m, seed)
+
     def test_result_is_equilibrium(self):
         for seed in range(10):
             g = random_oltpg(3, 4, 50 + seed)
