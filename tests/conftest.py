@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+from polystack import lp_core
 from polystack.game_model import PolymatrixGame
 
 
@@ -64,3 +67,20 @@ def plateau_game():
     """Like knife_edge_game but the leader value is 1 against the target
     action everywhere, so the optimum is attained."""
     return two_player_game([[1, 0], [0, 1]], [[1, 1], [0, 0]])
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Records every ``lp_core.maximize`` call of the test as (name of the
+    calling function, copies of the arguments, result)."""
+    calls = []
+    maximize = lp_core.maximize
+
+    def recorded(*args):
+        args = [None if a is None else np.array(a, dtype=float) for a in args]
+        res = maximize(*args)
+        calls.append((sys._getframe(1).f_code.co_name, args + [None] * (5 - len(args)), res))
+        return res
+
+    monkeypatch.setattr(lp_core, "maximize", recorded)
+    return calls

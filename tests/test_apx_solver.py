@@ -3,7 +3,6 @@ import warnings
 import numpy as np
 import pytest
 
-from polystack import lp_core
 from polystack.apx_solver import solve_plfe_apx
 from polystack.game_model import PolymatrixGame
 from polystack.instance_gen import random_oltpg
@@ -56,19 +55,11 @@ def test_rejects_non_finite_alpha(knife_edge_game, alpha):
         solve_plfe_apx(knife_edge_game, alpha=alpha)
 
 
-def test_lp_budget_is_polynomial(monkeypatch):
+def test_lp_budget_is_polynomial(lp_calls):
     g = random_oltpg(5, 4, 9)
-    calls = []
-    maximize = lp_core.maximize
-
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return maximize(*args, **kwargs)
-
-    monkeypatch.setattr(lp_core, "maximize", counted)
     solve_plfe_apx(g)
     budget = sum(3 * g.num_actions(p) for p in g.followers)
-    assert 0 < len(calls) <= budget
+    assert 0 < len(lp_calls) <= budget
 
 
 def test_negative_payoffs_void_guarantee():

@@ -141,40 +141,24 @@ def test_arguments_are_not_written():
     assert res.x == pytest.approx([2.0, 0.5])
 
 
-def _solver_lps(monkeypatch):
-    """(c, A_ub, b_ub, A_eq, b_eq) and result of every LP that PLFE, OLFE
-    and apx run on four random trees and a tree with tied rows, and that
-    pure-olfe runs on a 3-clause SAT game."""
-    lps = []
-    solve = lp_core.maximize
-
-    def recorded(*args):
-        args = [None if a is None else np.array(a, dtype=float) for a in args]
-        res = solve(*args)
-        lps.append((args + [None] * (5 - len(args)), res))
-        return res
-
-    monkeypatch.setattr(lp_core, "maximize", recorded)
+def test_solver_lps_match_highs(lp_calls):
+    # every LP that PLFE, OLFE and apx run on four random trees and a tree
+    # with tied rows, and that pure-olfe runs on a 3-clause SAT game
     trees = [random_oltpg(n, m, seed) for n, m, seed in ((4, 6, 0), (5, 4, 0), (3, 8, 1), (6, 4, 0))]
     for game in trees + [_rounded_tree()]:
         solve_plfe(game)
         solve_olfe(game)
         solve_plfe_apx(game)
     solve_olfe(sat_to_pg_olfe(CnfFormula(3, ((1, 2, 3), (-1, 2, 3), (1, -2, -3))), 0.01))
-    return lps
-
-
-def test_solver_lps_match_highs(monkeypatch):
+    assert {res.status for _, _, res in lp_calls} == {LpStatus.OPTIMAL, LpStatus.INFEASIBLE}
     statuses = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}
-    lps = _solver_lps(monkeypatch)
-    assert len({res.status for _, res in lps}) == 2  # optimal and infeasible LPs both occur
-    for i, ((c, A_ub, b_ub, A_eq, b_eq), res) in enumerate(lps):
+    tol = lp_core._FEAS_TOL
+    for i, (_, (c, A_ub, b_ub, A_eq, b_eq), res) in enumerate(lp_calls):
         ref = linprog(-c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
         assert res.status is statuses[ref.status], i
         if res.status is not LpStatus.OPTIMAL:
             continue
         assert abs(res.objective + ref.fun) <= 1e-9 * max(1.0, abs(ref.fun)), i
-        tol = lp_core._FEAS_TOL
         assert (res.x >= -tol).all(), i
         if A_ub is not None:
             assert (A_ub @ res.x - b_ub <= tol).all(), i
