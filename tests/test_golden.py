@@ -3,8 +3,9 @@
 ``tests/data/solve_golden.json`` holds, per game and mode, the stdout of
 ``polystack solve`` recorded on the code that produced it.
 ``tests/data/commands_golden.json`` holds, per game, the exit code, stdout
-and stderr of ``validate``, ``classify``, ``eval`` in both modes and
-``verify`` on a stored solve output. A refactor that must not change any
+and stderr of ``validate``, ``classify``, ``eval`` in both modes,
+``verify`` on a stored solve output, ``convert --to bayesian`` and, when
+that succeeds, ``convert --to polymatrix`` on its output. A refactor that must not change any
 answer keeps every entry equal. When a change is meant to alter output,
 rewrite both files with ``PYTHONPATH=src python tests/test_golden.py`` and
 review the diff.
@@ -123,7 +124,9 @@ def command_outputs(tmp_path, name, game, modes):
     """[exit code, stdout, stderr] of each command but solve on game, by
     label. ``eval`` and ``verify`` read the game's stored pessimistic
     output, or its pure-olfe output when it has none; ``verify`` runs the
-    one-dimensional oracle when the leader has two actions, else the grid."""
+    one-dimensional oracle when the leader has two actions, else the grid.
+    ``convert --to polymatrix`` runs on ``convert --to bayesian``'s stdout,
+    only when that exits 0."""
     path = tmp_path / "game.json"
     path.write_text(json.dumps(game_to_json_dict(game)))
     result = tmp_path / "result.json"
@@ -137,7 +140,14 @@ def command_outputs(tmp_path, name, game, modes):
         "eval optimistic": ["eval", "--strategy", str(result), "--mode", "optimistic", str(path)],
         f"verify {against} {solved}": ["verify", "--against", against, str(path), str(result)],
     }
-    return {label: _run(argv) for label, argv in argvs.items()}
+    outputs = {label: _run(argv) for label, argv in argvs.items()}
+    outputs["convert bayesian"] = _run(["convert", "--to", "bayesian", str(path)])
+    code, bg, _ = outputs["convert bayesian"]
+    if code == 0:
+        bg_path = tmp_path / "bg.json"
+        bg_path.write_text(bg)
+        outputs["convert polymatrix"] = _run(["convert", "--to", "polymatrix", str(bg_path)])
+    return outputs
 
 
 @pytest.mark.parametrize("name,game,modes", [pytest.param(*c, id=c[0]) for c in cases()])
