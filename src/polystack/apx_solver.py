@@ -47,10 +47,8 @@ def solve_plfe_apx(game: PolymatrixGame, alpha: float = 1e-6) -> ApxReport:
 
     best_p = None
     best_sub = None
-    sub_values = {}
     for p in game.followers:
         sub = solve_plfe(_single_follower_game(game, p), alpha=alpha)
-        sub_values[p] = sub.value
         if best_sub is None or sub.value > best_sub.value + 1e-12:
             best_p, best_sub = p, sub
 
@@ -64,7 +62,6 @@ def solve_plfe_apx(game: PolymatrixGame, alpha: float = 1e-6) -> ApxReport:
         alpha=alpha,
         anytime_complete=True,
         profiles_enumerated=best_sub.profiles_enumerated,
-        diagnostics={"subgame_values": sub_values},
     )
     bound = best_sub.value - (0.0 if best_sub.attained else alpha)
     return ApxReport(

@@ -131,24 +131,19 @@ def polymatrix_to_bg(game: PolymatrixGame) -> BayesianGame:
     if report.game_class is GameClass.SPG:
         prob = 1.0 / t
         probs = [prob] * t
-        shared = _exact_preimage(game.leader_matrix(followers[0]).T, prob)
+        shared = _exact_preimage(game.leader_edge(followers[0])[1].T, prob)
         leader_mats = [shared] * t
         kind = "independent"
     else:
-        if t == 1:
-            probs = [1.0]
-        else:
-            probs = [2.0 ** -min(i + 1, t - 1) for i in range(t)]
-        leader_mats = [
-            game.leader_matrix(p).T / w for p, w in zip(followers, probs)
-        ]
+        probs = [2.0 ** -min(i + 1, t - 1) for i in range(t)]
+        leader_mats = [game.leader_edge(p)[1].T / w for p, w in zip(followers, probs)]
         kind = "interdependent"
 
     types = tuple(
         FollowerType(
             name=f"player_{p}",
             prob=w,
-            follower_payoff=game.follower_matrix(p).T,
+            follower_payoff=game.leader_edge(p)[0].T,
             leader_payoff=mat,
         )
         for p, w, mat in zip(followers, probs, leader_mats)
@@ -156,9 +151,7 @@ def polymatrix_to_bg(game: PolymatrixGame) -> BayesianGame:
     follower_actions = game.actions[followers[0]]
     for p in followers[1:]:
         if game.actions[p] != follower_actions:
-            raise GameClassError(
-                "followers must share one action set to form a Bayesian follower"
-            )
+            raise GameClassError("followers must share one action set to form a Bayesian follower")
     return BayesianGame(leader_actions, follower_actions, types, kind)
 
 
@@ -217,16 +210,11 @@ def bg_from_json_dict(data: dict) -> BayesianGame:
     return BayesianGame(tuple(leader_actions), tuple(follower_actions), tuple(types), kind)
 
 
-def bg_leader_utility(
-    bg: BayesianGame, s_l: np.ndarray, follower_actions: dict[int, int] | list[int]
-) -> float:
-    """Leader's Bayesian expected utility against one pure action per type."""
-    if isinstance(follower_actions, dict):
-        acts = [follower_actions[i] for i in range(len(bg.types))]
-    else:
-        acts = list(follower_actions)
+def bg_leader_utility(bg: BayesianGame, s_l: np.ndarray, follower_actions: list[int]) -> float:
+    """Leader's Bayesian expected utility against one pure action per type,
+    listed in type order."""
     total = 0.0
-    for t, a_f in zip(bg.types, acts):
+    for t, a_f in zip(bg.types, follower_actions):
         total += t.prob * float(t.leader_payoff[:, a_f] @ s_l)
     return total
 

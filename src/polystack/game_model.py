@@ -124,16 +124,6 @@ class PolymatrixGame:
         zeros = np.zeros((self.num_actions(p), self.num_actions(self.leader)))
         return zeros, zeros
 
-    def follower_matrix(self, p: int) -> np.ndarray:
-        """U_{p,n} indexed [follower action][leader action]."""
-        self._require_oltpg()
-        return self.leader_edge(p)[0]
-
-    def leader_matrix(self, p: int) -> np.ndarray:
-        """U_{n,p} indexed [follower action][leader action]."""
-        self._require_oltpg()
-        return self.leader_edge(p)[1]
-
     def is_one_level_tree(self) -> bool:
         return self._tree
 
@@ -193,7 +183,7 @@ def validate(game: PolymatrixGame) -> ValidationReport:
     if len(action_sets) > 1:
         spg_violations.append("leaf-players do not share one action set")
     else:
-        mats = [game.leader_matrix(p) for p in followers]
+        mats = [game.leader_edge(p)[1] for p in followers]
         if any(not np.array_equal(mats[0], m) for m in mats[1:]):
             spg_violations.append("leader payoffs differ across leaves")
     if spg_violations:
@@ -215,8 +205,9 @@ def pure_utility(game: PolymatrixGame, p: int, full_profile: dict[int, int]) -> 
 def best_response_set(game: PolymatrixGame, p: int, s_n: MixedStrategy) -> set[int]:
     """Actions of follower p within DEFAULT_TOL of the best expected utility
     against the leader commitment (one-level tree games only)."""
+    game._require_oltpg()
     s_n.validate(game.num_actions(game.leader))
-    expected = game.follower_matrix(p) @ s_n.probs
+    expected = game.leader_edge(p)[0] @ s_n.probs
     return set(np.nonzero(expected >= expected.max() - DEFAULT_TOL)[0].tolist())
 
 

@@ -41,6 +41,14 @@ class SolverFailure(RuntimeError):
 
 @dataclass
 class LfeResult:
+    """A solve's answer: the leader's ``value`` (PLFE: the supremum), her
+    ``strategy``, the follower ``profile`` it induces, whether the value is
+    ``attained`` (if not, ``strategy`` is within ``alpha`` of it), whether
+    the search ran to the end (``anytime_complete``) and how many profiles
+    it covered (``profiles_enumerated``). ``diagnostics`` holds what
+    ``perfbench/spans.py`` reads: ``survivors`` for PLFE,
+    ``inducible_profiles`` for OLFE, nothing for the approximation."""
+
     value: float
     strategy: MixedStrategy
     profile: dict[int, int]
@@ -73,27 +81,25 @@ class _Blocks:
         self.game = game
         self.followers = game.followers
         self.m_n = game.num_actions(game.leader)
-        self.M, self.L = {}, {}
+        self.L = {}
         # ff[p]: (index j of q, U_pq, row maxima, row minima) per follower
         # neighbour q in followers order, U_pq indexed [a_p][a_q]
         self.ff: dict[int, list] = {}
-        index = {q: j for j, q in enumerate(self.followers)}
-        for p in self.followers:
-            self.M[p], self.L[p] = game.leader_edge(p)
-            near = set(game.neighbors(p))
-            self.ff[p] = []
-            for q in self.followers:
-                if q in near:
-                    U = game.edge_payoffs(p, q)[0]
-                    self.ff[p].append((index[q], U, U.max(axis=1), U.min(axis=1)))
         # diff[p][a]: rows M[a] - M[a'] over non-tied a' (strict BR margins);
         # tied[p][a]: a's tie class without a
         self.tie_set: dict[int, list[list[int]]] = {}
         self.non_tied: dict[int, list[list[int]]] = {}
         self.tied: dict[int, list[list[int]]] = {}
         self.diff: dict[int, list[np.ndarray]] = {}
+        index = {q: j for j, q in enumerate(self.followers)}
         for p in self.followers:
-            M = self.M[p]
+            M, self.L[p] = game.leader_edge(p)
+            near = set(game.neighbors(p))
+            self.ff[p] = []
+            for q in self.followers:
+                if q in near:
+                    U = game.edge_payoffs(p, q)[0]
+                    self.ff[p].append((index[q], U, U.max(axis=1), U.min(axis=1)))
             rows = [tuple(row) for row in M.tolist()]
             classes: dict[tuple, list[int]] = {}
             for a, row in enumerate(rows):
@@ -510,8 +516,8 @@ def solve_plfe(
     _check_alpha(alpha)
 
     def work(combo, D, d0):
-        v, s, zeta = _max_min(blocks, combo, D)
-        return v, combo, s, any(z <= ZETA_TOL for z in zeta.values())
+        v, s, _ = _max_min(blocks, combo, D)
+        return v, combo, s
 
     survivors, processed, truncated = search_profiles(blocks, work, time_limit)
     if not survivors:
@@ -521,7 +527,7 @@ def solve_plfe(
         )
 
     best = contenders(survivors)
-    for v, combo, s, raw_beta in best:
+    for v, combo, s in best:
         beta, _, witness = _attainment(blocks, combo, blocks.rows(combo)[0], v)
         if not beta:
             # prefer the slack-maximized optimum: it keeps every non-tied
@@ -529,7 +535,7 @@ def solve_plfe(
             strategy = witness if witness is not None else s
             break
     else:
-        v, combo, s, raw_beta = best[0]
+        v, combo, s = best[0]
         strategy = _find_apx(blocks, combo, blocks.rows(combo)[0], v, alpha)
     return LfeResult(
         value=float(v),
@@ -539,9 +545,5 @@ def solve_plfe(
         alpha=alpha,
         anytime_complete=not truncated,
         profiles_enumerated=processed,
-        diagnostics={
-            "raw_beta": bool(raw_beta),
-            "robust_beta": beta,
-            "survivors": len(survivors),
-        },
+        diagnostics={"survivors": len(survivors)},
     )

@@ -70,12 +70,12 @@ class TestValidate:
 
 class TestPayoffAccess:
     def test_follower_payoff_vectors(self, star3_game):
-        assert (star3_game.follower_matrix(1)[0] == [0, 8, 8]).all()
-        assert (star3_game.follower_matrix(1)[1] == [4, 0, 4]).all()
+        assert (star3_game.leader_edge(1)[0][0] == [0, 8, 8]).all()
+        assert (star3_game.leader_edge(1)[0][1] == [4, 0, 4]).all()
 
     def test_zero_matrix_gives_zero_vector(self):
         g = two_player_game([[0, 0], [0, 0]], [[1, 2], [3, 4]])
-        assert (g.follower_matrix(1)[1] == 0).all()
+        assert (g.leader_edge(1)[0][1] == 0).all()
 
     def test_pure_utility_sums_edges(self, star3_game):
         # leader against (a, b) when playing a: 9 + 0

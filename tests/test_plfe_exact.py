@@ -280,7 +280,7 @@ class TestSolvePlfe:
 
     def test_diagnostics_present(self, knife_edge_game):
         r = solve_plfe(knife_edge_game)
-        assert "raw_beta" in r.diagnostics and "robust_beta" in r.diagnostics
+        assert set(r.diagnostics) == {"survivors"}
 
 
 def _bayesian_game(seed):
