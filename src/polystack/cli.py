@@ -22,6 +22,7 @@ import re
 import statistics
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -215,7 +216,10 @@ def _cmd_convert(args) -> int:
     try:
         if args.to == "polymatrix":
             bg = bayesian_bridge.bg_from_json_dict(_read_json(args.input))
-            game = bayesian_bridge.bg_to_polymatrix(bg)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                game = bayesian_bridge.bg_to_polymatrix(bg)
+            sys.stderr.write("".join(f"warning: {w.message}\n" for w in caught))
             _emit(game_to_json_dict(game))
         else:
             bg = bayesian_bridge.polymatrix_to_bg(_load_solvable_game(args.input))

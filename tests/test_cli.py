@@ -345,6 +345,20 @@ class TestConvert:
             original = json.load(fh)
         assert json.loads(back) == json.loads(dumps_canonical(original))
 
+    def test_zero_probability_type_warns_on_one_line(self, capsys, tmp_path):
+        payoff = [[1.0, 0.0], [0.0, 1.0]]
+        types = [
+            {"name": "live", "prob": 1.0, "follower_payoff": payoff, "leader_payoff": payoff},
+            {"name": "dead", "prob": 0.0, "follower_payoff": payoff, "leader_payoff": payoff},
+        ]
+        bg = {"leader_actions": ["x", "y"], "follower_actions": ["a", "b"], "kind": "interdependent", "types": types}
+        path = tmp_path / "bg.json"
+        path.write_text(json.dumps(bg))
+        assert run(["convert", "--to", "polymatrix", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "warning: dropping 1 zero-probability type(s)\n"
+        assert [pl["id"] for pl in json.loads(captured.out)["players"]] == [1, 2]
+
     def test_leader_only_game_rejected(self, capsys, leader_only_file):
         assert_domain_error(
             capsys, ["convert", "--to", "bayesian", leader_only_file], "at least one follower type"
