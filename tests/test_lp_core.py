@@ -164,3 +164,43 @@ def test_solver_lps_match_highs(lp_calls):
             assert (A_ub @ res.x - b_ub <= tol).all(), i
         if A_eq is not None:
             assert (np.abs(A_eq @ res.x - b_eq) <= tol).all(), i
+
+
+def _degenerate_lp(rng):
+    """A random LP in small integers from [-3, 3] with up to 29 columns, 44
+    inequality rows and 25 equality rows, some of them repeated. Every
+    right-hand side is tight or nearly tight at a known point x0 with many
+    zero entries, so vertices are degenerate. One example in ten moves one
+    right-hand side by 1, which often makes the LP infeasible; one in five
+    leaves out the row sum(x) = sum(x0), so unbounded LPs occur."""
+    n = int(rng.integers(1, 30))
+    x0 = rng.integers(0, 3, n) * (rng.random(n) < 0.5)
+    c = rng.integers(-3, 4, n)
+    A_ub = rng.integers(-3, 4, (int(rng.integers(0, 45)), n))
+    b_ub = A_ub @ x0 + rng.integers(0, 3, len(A_ub)) * (rng.random(len(A_ub)) < 0.5)
+    A_eq = rng.integers(-3, 4, (int(rng.integers(0, 26)), n))
+    A_eq = A_eq[rng.integers(0, len(A_eq), len(A_eq))]  # draws rows with repeats
+    b_eq = A_eq @ x0
+    if rng.random() < 0.1:
+        rows = b_ub if len(b_ub) and rng.random() < 0.5 else b_eq
+        if len(rows):
+            rows[rng.integers(len(rows))] -= 1
+    if rng.random() < 0.8:
+        A_eq = np.vstack([A_eq, np.ones(n)])
+        b_eq = np.append(b_eq, x0.sum())
+    return [np.array(a, dtype=float) for a in (c, A_ub, b_ub, A_eq, b_eq)]
+
+
+def test_degenerate_random_lps_match_highs():
+    statuses = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}
+    rng = np.random.default_rng(20181)
+    seen = set()
+    for i in range(200):
+        c, A_ub, b_ub, A_eq, b_eq = _degenerate_lp(rng)
+        res = maximize(c, A_ub, b_ub, A_eq, b_eq)
+        ref = linprog(-c, A_ub, b_ub, A_eq, b_eq, bounds=(0, None), method="highs")
+        assert res.status is statuses[ref.status], i
+        seen.add(res.status)
+        if res.status is LpStatus.OPTIMAL:
+            assert abs(res.objective + ref.fun) <= 1e-9 * max(1.0, abs(ref.fun)), i
+    assert seen == set(statuses.values())
