@@ -151,7 +151,9 @@ def polymatrix_to_bg(game: PolymatrixGame) -> BayesianGame:
     follower_actions = game.actions[followers[0]]
     for p in followers[1:]:
         if game.actions[p] != follower_actions:
-            raise GameClassError("followers must share one action set to form a Bayesian follower")
+            raise GameClassError(
+                "followers must share one action set to form a Bayesian follower"
+            )
     return BayesianGame(leader_actions, follower_actions, types, kind)
 
 

@@ -43,11 +43,10 @@ class SolverFailure(RuntimeError):
 class LfeResult:
     """A solve's answer: the leader's ``value`` (PLFE: the supremum), her
     ``strategy``, the follower ``profile`` it induces, whether the value is
-    ``attained`` (if not, ``strategy`` is within ``alpha`` of it), whether
-    the search ran to the end (``anytime_complete``) and how many profiles
-    it covered (``profiles_enumerated``). ``diagnostics`` holds what
-    ``perfbench/spans.py`` reads: ``survivors`` for PLFE,
-    ``inducible_profiles`` for OLFE, nothing for the approximation."""
+    ``attained`` (else ``strategy`` is within ``alpha`` of it), whether the
+    search ran to the end (``anytime_complete``), the profiles it covered
+    (``profiles_enumerated``) and the ``diagnostics`` ``perfbench/spans.py``
+    reads: ``survivors`` from PLFE, ``inducible_profiles`` from OLFE, none from apx."""
 
     value: float
     strategy: MixedStrategy
