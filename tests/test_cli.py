@@ -351,9 +351,9 @@ class TestConvert:
             {"name": "live", "prob": 1.0, "follower_payoff": payoff, "leader_payoff": payoff},
             {"name": "dead", "prob": 0.0, "follower_payoff": payoff, "leader_payoff": payoff},
         ]
-        bg = {"leader_actions": ["x", "y"], "follower_actions": ["a", "b"], "kind": "interdependent", "types": types}
+        bg = {"leader_actions": ["x", "y"], "follower_actions": ["a", "b"], "types": types}
         path = tmp_path / "bg.json"
-        path.write_text(json.dumps(bg))
+        path.write_text(json.dumps({**bg, "kind": "interdependent"}))
         assert run(["convert", "--to", "polymatrix", str(path)]) == 0
         captured = capsys.readouterr()
         assert captured.err == "warning: dropping 1 zero-probability type(s)\n"

@@ -5,10 +5,10 @@
 ``tests/data/commands_golden.json`` holds, per game, the exit code, stdout
 and stderr of ``validate``, ``classify``, ``eval`` in both modes,
 ``verify`` on a stored solve output, ``convert --to bayesian`` and, when
-that succeeds, ``convert --to polymatrix`` on its output. A refactor that must not change any
-answer keeps every entry equal. When a change is meant to alter output,
-rewrite both files with ``PYTHONPATH=src python tests/test_golden.py`` and
-review the diff.
+that succeeds, ``convert --to polymatrix`` on its output. A refactor that
+must not change any answer keeps every entry equal. When a change is meant
+to alter output, rewrite both files with ``PYTHONPATH=src python
+tests/test_golden.py`` and review the diff.
 """
 
 import contextlib
