@@ -13,6 +13,9 @@ constraints. On one-level trees these are per-follower best responses. On
 general graphs a follower's constraints also depend on her follower
 neighbours' actions; a prefix of followers bounds that dependence over
 every completion, so an empty prefix region still cuts off its subtree.
+As in the pessimistic solver, the profile LPs run in order of decreasing
+upper bound on their value and stop once no profile left can win
+(``plfe_exact.best_first``).
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from .plfe_exact import (
     SolverFailure,
     _Blocks,
     _optimum,
+    best_first,
     contenders,
-    search_profiles,
     within_simplex,
 )
 
@@ -62,16 +65,17 @@ def solve_olfe(game: PolymatrixGame, time_limit: float | None = None) -> LfeResu
     """Optimistic equilibrium: max over inducible follower profiles of the
     per-profile LP. The optimum is always attained.
 
-    Searches the profiles depth-first (``search_profiles``), pruning every
-    prefix whose region is already empty. A time limit truncates the search
-    and flags the result as incomplete."""
+    Searches the profiles depth-first, pruning every prefix whose region is
+    already empty, then solves their LPs best bound first until no profile
+    left can win (``best_first``). A time limit truncates the search or the
+    LPs after it and flags the result as incomplete."""
     blocks = _Blocks(game)
 
-    def best_commitment(combo, D, d0):
-        got = _profile_lp(blocks, combo, D, d0)
+    def best_commitment(combo):
+        got = _profile_lp(blocks, combo, *blocks.rows(combo))
         return None if got is None else (got[0], combo, got[1])
 
-    results, processed, truncated = search_profiles(blocks, best_commitment, time_limit)
+    results, inducible, processed, truncated = best_first(blocks, best_commitment, time_limit)
     if not results:
         if game.is_one_level_tree():
             raise SolverFailure("one-level tree games always admit an inducible profile")
@@ -87,5 +91,5 @@ def solve_olfe(game: PolymatrixGame, time_limit: float | None = None) -> LfeResu
         alpha=0.0,
         anytime_complete=not truncated,
         profiles_enumerated=processed,
-        diagnostics={"inducible_profiles": len(results)},
+        diagnostics={"inducible_profiles": inducible},
     )

@@ -1,14 +1,16 @@
 """Exact pessimistic leader-follower equilibrium for one-level tree games.
 
 Keeps the follower pure-action profiles whose best-response region has
-nonempty interior, solves a max-min LP on each, and picks the profile with
-the highest value. Those profiles are found by a depth-first search over
-the followers (``search_profiles``): a profile's region is the
-intersection of its followers' regions, so a prefix of followers whose
-region is already empty cuts off every profile that extends it. When the
-optimum is a supremum rather than a maximum (some follower can tie with an
-action that hurts the leader), an additive alpha-approximate strategy is
-computed instead of the unattainable exact one.
+nonempty interior, and picks the one whose max-min LP has the highest
+value. Those profiles are found by a depth-first search over the followers
+(``search_profiles``): a profile's region is the intersection of its
+followers' regions, so a prefix of followers whose region is already empty
+cuts off every profile that extends it. The max-min LPs then run in order
+of each profile's free upper bound on its value (``best_first``), and stop
+once no profile left can come within ``VALUE_TIE_TOL`` of the best value
+found. When the optimum is a supremum rather than a maximum (some follower
+can tie with an action that hurts the leader), an additive alpha-approximate
+strategy is computed instead of the unattainable exact one.
 
 The per-profile LPs take a profile as a ``combo``, its actions in
 ``game.followers`` order, as the search yields it; only the public
@@ -16,7 +18,9 @@ The per-profile LPs take a profile as a ``combo``, its actions in
 LP result, raising a ``SolverFailure`` that names the LP. ``contenders``
 is the winner rule of PLFE and OLFE: the results within ``VALUE_TIE_TOL``
 of the best, in search order. PLFE takes the first attained one, else the
-first; OLFE takes the first.
+first; OLFE takes the first. ``best_first`` solves every profile that can
+be a contender and returns its results in search order, so the rule picks
+the profile it would pick among all of them.
 """
 
 from __future__ import annotations
@@ -46,7 +50,8 @@ class LfeResult:
     ``attained`` (else ``strategy`` is within ``alpha`` of it), whether the
     search ran to the end (``anytime_complete``), the profiles it covered
     (``profiles_enumerated``) and the ``diagnostics`` ``perfbench/spans.py``
-    reads: ``survivors`` from PLFE, ``inducible_profiles`` from OLFE, none from apx."""
+    reads: ``survivors`` from PLFE, ``inducible_profiles`` from OLFE, none from apx.
+    Both count every profile the search found, solved by an LP or not."""
 
     value: float
     strategy: MixedStrategy
@@ -151,6 +156,16 @@ class _Blocks:
         if not blocks:
             return np.zeros((0, self.m_n)), np.zeros(0)
         return np.concatenate([D for D, _ in blocks]), np.concatenate([d0 for _, d0 in blocks])
+
+    def bound(self, combo: tuple) -> float:
+        """max_j (sum_p L[p][a_p])_j: the leader's payoff against the
+        profile at her best pure action. It bounds the profile's max-min and
+        optimistic LP values from above, since each follower's term in
+        either is at most L[p][a_p] s and s is a distribution."""
+        payoff = np.zeros(self.m_n)
+        for p, a in zip(self.followers, combo):
+            payoff += self.L[p][a]
+        return float(payoff.max())
 
     def prefilter(self, i: int, a: int) -> tuple[float, np.ndarray | None]:
         """Interior test for the i-th follower's region with no follower
@@ -497,6 +512,40 @@ def search_profiles(blocks: _Blocks, work, time_limit: float | None = None):
     return results, covered, truncated
 
 
+def best_first(blocks: _Blocks, solve, time_limit: float | None = None):
+    """Calls ``solve(combo)`` on the profiles ``search_profiles`` finds, in
+    order of decreasing ``_Blocks.bound`` (lexicographic among equal
+    bounds), and keeps the results that are not None; a result's entry 0 is
+    the profile's value, at most its bound.
+
+    Stops once the next bound is below the best value so far by more than
+    VALUE_TIE_TOL plus 1e-6 of that value's magnitude, a margin for LP
+    error: every profile left unsolved then falls short of ``contenders``.
+    Once the search's time limit has passed, stops before the next LP
+    provided one result exists. Returns (results in search order, profiles
+    found, profiles covered, truncated).
+    """
+    start = time.perf_counter()
+    leaves, covered, truncated = search_profiles(
+        blocks, lambda combo, D, d0: (blocks.bound(combo), combo), time_limit
+    )
+    deadline = None if time_limit is None else start + time_limit
+    solved = []
+    best = -math.inf
+    for i in sorted(range(len(leaves)), key=lambda j: -leaves[j][0]):
+        bound, combo = leaves[i]
+        if solved and bound < best - (VALUE_TIE_TOL + 1e-6 * max(1.0, abs(best))):
+            break
+        if solved and deadline is not None and time.perf_counter() > deadline:
+            truncated = True
+            break
+        result = solve(combo)
+        if result is not None:
+            solved.append((i, result))
+            best = max(best, result[0])
+    return [result for _, result in sorted(solved)], len(leaves), covered, truncated
+
+
 def solve_plfe(
     game: PolymatrixGame,
     alpha: float = 1e-6,
@@ -505,27 +554,28 @@ def solve_plfe(
     """Pessimistic leader-follower equilibrium of a one-level tree game.
 
     Searches the follower profile space depth-first in lexicographic order
-    (``search_profiles``), solving a max-min LP on each profile whose region
-    has nonempty interior. Returns the supremum value; the strategy is exact
+    for the profiles whose region has nonempty interior, then solves their
+    max-min LPs in order of decreasing upper bound until no profile left can
+    win (``best_first``). Returns the supremum value; the strategy is exact
     when the supremum is attained and an additive alpha-approximation
-    otherwise. A time limit truncates the search and flags the result as
-    incomplete.
+    otherwise. A time limit truncates the search or the LPs after it and
+    flags the result as incomplete.
     """
     blocks = _tree_blocks(game)
     _check_alpha(alpha)
 
-    def work(combo, D, d0):
-        v, s, _ = _max_min(blocks, combo, D)
+    def work(combo):
+        v, s, _ = _max_min(blocks, combo, blocks.rows(combo)[0])
         return v, combo, s
 
-    survivors, processed, truncated = search_profiles(blocks, work, time_limit)
-    if not survivors:
+    results, survivors, processed, truncated = best_first(blocks, work, time_limit)
+    if not results:
         raise SolverFailure(
             "no follower profile has a full-dimensional best-response region; "
             "the leader simplex must be covered, so this is a solver defect"
         )
 
-    best = contenders(survivors)
+    best = contenders(results)
     for v, combo, s in best:
         beta, _, witness = _attainment(blocks, combo, blocks.rows(combo)[0], v)
         if not beta:
@@ -544,5 +594,5 @@ def solve_plfe(
         alpha=alpha,
         anytime_complete=not truncated,
         profiles_enumerated=processed,
-        diagnostics={"survivors": len(survivors)},
+        diagnostics={"survivors": survivors},
     )

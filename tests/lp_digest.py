@@ -1,7 +1,8 @@
 """One-line digest of every LP and every ``solve`` output on a fixed game set.
 
 Run from the repository root with ``PYTHONPATH=src python tests/lp_digest.py``.
-It prints the number of games, the number of ``lp_core.maximize`` calls, a
+It prints the number of games, the number of ``lp_core.maximize`` calls
+with their count per calling function (the LP kinds of ``test_lp_kinds``), a
 sha256 over every call's inputs, status, ``x`` bytes and ``repr`` of its
 objective, and a sha256 over every ``solve`` exit code, stdout and stderr.
 A change meant to keep every LP and every output bit-for-bit prints the
@@ -11,8 +12,10 @@ seeds 0-2 in both kinds, in all four tree modes; every game of
 ``test_plfe_exact._general_game(0..5)``. pytest does not collect this file.
 """
 
+import collections
 import hashlib
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -48,12 +51,11 @@ def _arg_bytes(a) -> bytes:
 
 def main():
     lp_hash, cli_hash = hashlib.sha256(), hashlib.sha256()
-    calls = 0
+    callers = collections.Counter()
     maximize = lp_core.maximize
 
     def recorded(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
-        nonlocal calls
-        calls += 1
+        callers[sys._getframe(1).f_code.co_name] += 1
         res = maximize(c, A_ub, b_ub, A_eq, b_eq)
         for a in (c, A_ub, b_ub, A_eq, b_eq):
             lp_hash.update(_arg_bytes(a))
@@ -71,7 +73,11 @@ def main():
             for mode in modes:
                 code, out, err = _run(["solve", "--mode", mode, str(path)])
                 cli_hash.update(f"{code}\0{out}\0{err}\0".encode())
-    print(f"games {count} calls {calls} lp {lp_hash.hexdigest()} cli {cli_hash.hexdigest()}")
+    kinds = " ".join(f"{name}={n}" for name, n in sorted(callers.items()))
+    print(
+        f"games {count} calls {sum(callers.values())} ({kinds}) "
+        f"lp {lp_hash.hexdigest()} cli {cli_hash.hexdigest()}"
+    )
 
 
 if __name__ == "__main__":

@@ -1,9 +1,11 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 
+from polystack import olfe_solver, plfe_exact
 from polystack.bayesian_bridge import BayesianGame, FollowerType, bg_to_polymatrix
 from polystack.game_model import GameClassError, MixedStrategy, PolymatrixGame, evaluate_commitment
 from polystack.instance_gen import (
@@ -20,6 +22,7 @@ from polystack.plfe_exact import (
     EPS_TOL,
     _Blocks,
     attainment_flag,
+    best_first,
     emptiness_check,
     find_apx,
     search_profiles,
@@ -441,3 +444,74 @@ class TestSearchProfiles:
         assert r.value == pytest.approx(best, abs=1e-9)
         first = next(combo for combo, v in flat if v >= best - 1e-9)
         assert r.profile == dict(zip(game.followers, first))
+
+
+def _solve_every_profile(blocks, solve, time_limit=None):
+    """``best_first`` without its bound: solves every profile the search
+    finds, in search order."""
+    combos, covered, truncated = search_profiles(blocks, lambda combo, D, d0: combo, time_limit)
+    results = [r for r in map(solve, combos) if r is not None]
+    return results, len(combos), covered, truncated
+
+
+def _rounded_spg(n, m, seed):
+    """random_oltpg(n, m, seed, kind="spg") with every payoff x mapped to
+    round(x / 50), so that profiles tie in value, in bound or both."""
+    g = random_oltpg(n, m, seed, kind="spg")
+    edges = {key: tuple(np.round(mat / 50) for mat in mats) for key, mats in g.edges.items()}
+    return PolymatrixGame(g.player_ids, g.actions, g.leader, edges)
+
+
+def _tie_games():
+    # in clique games several profiles share the best value and the best
+    # bound; in the rounded star games some contenders have unequal bounds
+    for graph in (
+        Graph(3, ((1, 2), (2, 3))),
+        Graph(4, ((1, 2), (2, 3), (3, 4))),
+        Graph(4, ((1, 2), (1, 3), (1, 4))),
+        Graph(5, ((1, 2), (3, 4))),
+        Graph(5, ((1, 2), (2, 3), (3, 4), (4, 5), (1, 3))),
+    ):
+        yield pytest.param(clique_to_spg(graph), id=f"clique-{graph.vertices}-{len(graph.edges)}")
+    for n in range(3, 6):
+        for m in range(2, 5):
+            for seed in range(3):
+                yield pytest.param(_rounded_spg(n, m, seed), id=f"spg-{n}-{m}-{seed}")
+
+
+class TestBestFirst:
+    @pytest.mark.parametrize("args", [(5, 6, 1), (4, 8, 2)])
+    def test_profile_lp_budget(self, lp_calls, args):
+        # 150 and 165 profiles survive the search; the bound leaves all but
+        # 8 and 29 of them unsolved
+        g = random_oltpg(*args)
+        for solve, kind in ((solve_plfe, "_max_min"), (solve_olfe, "_profile_lp")):
+            lp_calls.clear()
+            solve(g)
+            assert sum(name == kind for name, _, _ in lp_calls) <= 40, kind
+
+    @pytest.mark.parametrize("game", list(_tie_games()))
+    def test_same_winner_as_solving_every_profile(self, game, monkeypatch):
+        fast = (solve_plfe(game), solve_olfe(game))
+        monkeypatch.setattr(plfe_exact, "best_first", _solve_every_profile)
+        monkeypatch.setattr(olfe_solver, "best_first", _solve_every_profile)
+        reference = (solve_plfe(game), solve_olfe(game))
+        for r, ref in zip(fast, reference):
+            assert r.value == ref.value
+            assert r.profile == ref.profile
+            assert r.attained == ref.attained
+            assert r.strategy.probs.tobytes() == ref.strategy.probs.tobytes()
+            assert r.diagnostics == ref.diagnostics
+
+    def test_deadline_stops_before_next_lp(self):
+        # every value is 0, far below every bound, so only the deadline
+        # stops the stage: the search ends well within it, and it has
+        # passed after the first solve
+        blocks = _Blocks(random_oltpg(3, 3, 0))
+
+        def slow(combo):
+            time.sleep(0.6)
+            return 0.0, combo
+
+        results, found, _, truncated = best_first(blocks, slow, time_limit=0.5)
+        assert len(results) == 1 and found > 1 and truncated
