@@ -6,16 +6,16 @@ commitments that make the profile a pure Nash equilibrium of the follower
 game (weak inequalities, ties broken in the leader's favor).
 
 Only profiles whose inducibility region is full-dimensional enter the
-outer maximization; measure-zero knife-edge regions are discarded. Those
-profiles come from the pessimistic solver's depth-first search
-(``plfe_exact.search_profiles``), whose margin rows are the equilibrium
-constraints. On one-level trees these are per-follower best responses. On
-general graphs a follower's constraints also depend on her follower
-neighbours' actions; a prefix of followers bounds that dependence over
-every completion, so an empty prefix region still cuts off its subtree.
-As in the pessimistic solver, the profile LPs run in order of decreasing
-upper bound on their value and stop once no profile left can win
-(``plfe_exact.best_first``).
+outer maximization; measure-zero knife-edge regions are discarded. The
+pessimistic solver's best-first branch and bound over prefixes of
+followers (``plfe_exact.best_first``) finds and solves them; its margin
+rows are the equilibrium constraints. On one-level trees these are
+per-follower best responses. On general graphs a follower's constraints
+also depend on her follower neighbours' actions; a prefix of followers
+bounds that dependence over every completion, so an empty prefix region
+still cuts off its subtree. A prefix's upper bound on the value of every
+profile extending it orders the search, which stops once no prefix left
+can win.
 """
 
 from __future__ import annotations
@@ -65,14 +65,14 @@ def solve_olfe(game: PolymatrixGame, time_limit: float | None = None) -> LfeResu
     """Optimistic equilibrium: max over inducible follower profiles of the
     per-profile LP. The optimum is always attained.
 
-    Searches the profiles depth-first, pruning every prefix whose region is
-    already empty, then solves their LPs best bound first until no profile
-    left can win (``best_first``). A time limit truncates the search or the
-    LPs after it and flags the result as incomplete."""
+    Searches prefixes of followers best bound first, pruning every prefix
+    whose region is already empty, and solves the LP of each profile it
+    reaches until no profile left can win (``best_first``). A time limit
+    truncates the search after it and flags the result as incomplete."""
     blocks = _Blocks(game)
 
-    def best_commitment(combo):
-        got = _profile_lp(blocks, combo, *blocks.rows(combo))
+    def best_commitment(combo, D, d0):
+        got = _profile_lp(blocks, combo, D, d0)
         return None if got is None else (got[0], combo, got[1])
 
     results, inducible, processed, truncated = best_first(blocks, best_commitment, time_limit)

@@ -2,29 +2,33 @@
 
 Keeps the follower pure-action profiles whose best-response region has
 nonempty interior, and picks the one whose max-min LP has the highest
-value. Those profiles are found by a depth-first search over the followers
-(``search_profiles``): a profile's region is the intersection of its
-followers' regions, so a prefix of followers whose region is already empty
-cuts off every profile that extends it. The max-min LPs then run in order
-of each profile's free upper bound on its value (``best_first``), and stop
-once no profile left can come within ``VALUE_TIE_TOL`` of the best value
-found. When the optimum is a supremum rather than a maximum (some follower
-can tie with an action that hurts the leader), an additive alpha-approximate
-strategy is computed instead of the unattainable exact one.
+value. One best-first branch and bound over prefixes of followers
+(``best_first``) finds and solves them. A profile's region is the
+intersection of its followers' regions, so a prefix whose region is
+already empty cuts off every profile that extends it. A prefix's free upper
+bound on the value of every profile extending it (``_Blocks.bound``) orders
+the search, which stops once no prefix left can come within
+``VALUE_TIE_TOL`` of the best value found. On a one-level tree each follower
+is one type of the equivalent Bayesian game, so this is the bound HBGS puts
+on a partial type assignment. When the optimum is a supremum rather than a
+maximum (some follower can tie with an action that hurts the leader), an
+additive alpha-approximate strategy is computed instead of the unattainable
+exact one.
 
 The per-profile LPs take a profile as a ``combo``, its actions in
 ``game.followers`` order, as the search yields it; only the public
 ``(game, profile)`` helpers read a profile dict. ``_optimum`` reads every
 LP result, raising a ``SolverFailure`` that names the LP. ``contenders``
 is the winner rule of PLFE and OLFE: the results within ``VALUE_TIE_TOL``
-of the best, in search order. PLFE takes the first attained one, else the
-first; OLFE takes the first. ``best_first`` solves every profile that can
-be a contender and returns its results in search order, so the rule picks
-the profile it would pick among all of them.
+of the best, in lexicographic order. PLFE takes the first attained one,
+else the first; OLFE takes the first. ``best_first`` solves every profile
+that can be a contender and returns its results in lexicographic order, so
+the rule picks the profile it would pick among all of them.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import time
 from dataclasses import dataclass, field
@@ -51,7 +55,8 @@ class LfeResult:
     search ran to the end (``anytime_complete``), the profiles it covered
     (``profiles_enumerated``) and the ``diagnostics`` ``perfbench/spans.py``
     reads: ``survivors`` from PLFE, ``inducible_profiles`` from OLFE, none from apx.
-    Both count every profile the search found, solved by an LP or not."""
+    Both count the profiles the search reached and proved inducible, each
+    solved by one LP; profiles whose bound cannot win are never reached."""
 
     value: float
     strategy: MixedStrategy
@@ -115,6 +120,11 @@ class _Blocks:
                 M[a] - M[nt] if nt else np.zeros((0, self.m_n))
                 for a, nt in enumerate(self.non_tied[p])
             ]
+        # tail[k]: the entrywise max over actions of L[p], summed over the
+        # followers from the k-th on
+        self.tail = [np.zeros(self.m_n)]
+        for p in reversed(self.followers):
+            self.tail.insert(0, self.L[p].max(axis=0) + self.tail[0])
         self._prefilter: dict[tuple[int, int], tuple[float, np.ndarray | None]] = {}
 
     def _follower_rows(self, i: int, combo: tuple, a: int):
@@ -157,15 +167,19 @@ class _Blocks:
             return np.zeros((0, self.m_n)), np.zeros(0)
         return np.concatenate([D for D, _ in blocks]), np.concatenate([d0 for _, d0 in blocks])
 
-    def bound(self, combo: tuple) -> float:
-        """max_j (sum_p L[p][a_p])_j: the leader's payoff against the
-        profile at her best pure action. It bounds the profile's max-min and
-        optimistic LP values from above, since each follower's term in
-        either is at most L[p][a_p] s and s is a distribution."""
+    def bound(self, combo: tuple) -> np.ndarray:
+        """Upper bounds of the prefixes combo + (a,), one per action a of the
+        next follower: max_j of the sum of L[p][a_p] over the assigned
+        followers and of max_a L[p][a] (entrywise, ``tail``) over the
+        others. Each bounds the max-min and optimistic LP values of every
+        profile extending its prefix, since each follower's term in either
+        is at most L[p][a_p] s and s is a distribution; for a full profile
+        it is the leader's best pure payoff against it."""
+        k = len(combo)
         payoff = np.zeros(self.m_n)
         for p, a in zip(self.followers, combo):
             payoff += self.L[p][a]
-        return float(payoff.max())
+        return (payoff + self.L[self.followers[k]] + self.tail[k + 1]).max(axis=1)
 
     def prefilter(self, i: int, a: int) -> tuple[float, np.ndarray | None]:
         """Interior test for the i-th follower's region with no follower
@@ -458,92 +472,65 @@ def within_simplex(s: MixedStrategy) -> MixedStrategy:
 
 
 def contenders(results: list) -> list:
-    """Results within VALUE_TIE_TOL of the best value (entry 0), in search order."""
+    """Results within VALUE_TIE_TOL of the best value (entry 0), in lexicographic order."""
     best = max(r[0] for r in results)
     return [r for r in results if r[0] >= best - VALUE_TIE_TOL]
 
 
-def search_profiles(blocks: _Blocks, work, time_limit: float | None = None):
-    """Calls ``work(combo, D, d0)`` on every follower pure profile whose
+def best_first(blocks: _Blocks, solve, time_limit: float | None = None):
+    """Calls ``solve(combo, D, d0)`` on follower pure profiles whose
     best-response region has nonempty interior, with ``combo`` the tuple of
     actions in ``game.followers`` order and (D, d0) the profile's stacked
-    margin rows, in lexicographic order, and keeps the results that are not
-    None.
+    margin rows, best bound first, and keeps the results that are not None;
+    a result's entry 0 is the profile's value, at most its bound.
 
-    Depth-first over the followers: each node extends a prefix by one
-    follower's action (``_Blocks.extend``, whose rows come from the prefix
-    alone), and a prefix whose region has an empty interior cuts off its
-    whole subtree, which still counts at its full size. Once the time limit
-    has passed, stops before the next node provided one result exists.
-    Returns (results, profiles covered, truncated). Raises ValueError on a
-    negative or NaN time limit.
+    Branch and bound over prefixes of followers: a heap holds prefixes keyed
+    by ``_Blocks.bound``, lexicographic among equal bounds. A popped prefix
+    runs ``_Blocks.extend``, whose rows come from the prefix alone. An empty
+    region cuts off the prefix's subtree, which counts at its full size; a
+    full profile goes to ``solve``; else the prefix's children join the heap.
+    Stops once the top bound is below the best value so far by more than
+    VALUE_TIE_TOL plus 1e-6 of that value's magnitude, a margin for LP
+    error: every profile left then falls short of ``contenders``, and its
+    subtree counts at full size. Once the time limit has passed, stops
+    before the next node provided one result exists. Returns (results in
+    lexicographic order, profiles solved, profiles covered, truncated).
+    Raises ValueError on a negative or NaN time limit.
     """
     if time_limit is not None and not time_limit >= 0:
         raise ValueError(f"time limit must be a non-negative number, got {time_limit!r}")
-    followers = blocks.followers
-    sizes = [blocks.game.num_actions(p) for p in followers]
+    sizes = [blocks.game.num_actions(p) for p in blocks.followers]
     deadline = None if time_limit is None else time.perf_counter() + time_limit
+    heap = [(-math.inf, (), None)]  # the root prefix, with no rows
     results = []
-    covered = 0
-
-    def visit(combo: tuple, D: np.ndarray, d0: np.ndarray, s: np.ndarray | None) -> bool:
-        """Searches below the prefix ``combo``; False once the deadline
-        stopped the search."""
-        nonlocal covered
-        depth = len(combo)
-        if depth == len(followers):
-            result = work(combo, D, d0)
-            if result is not None:
-                results.append(result)
-            covered += 1
-            return True
-        for a in range(sizes[depth]):
-            if deadline is not None and time.perf_counter() > deadline and results:
-                return False
-            child = blocks.extend(combo + (a,), s)
-            if child is None:
-                covered += math.prod(sizes[depth + 1 :])
-                continue
-            if not visit(combo + (a,), *child):
-                return False
-        return True
-
-    truncated = not visit((), *blocks.rows(()), None)
-    return results, covered, truncated
-
-
-def best_first(blocks: _Blocks, solve, time_limit: float | None = None):
-    """Calls ``solve(combo)`` on the profiles ``search_profiles`` finds, in
-    order of decreasing ``_Blocks.bound`` (lexicographic among equal
-    bounds), and keeps the results that are not None; a result's entry 0 is
-    the profile's value, at most its bound.
-
-    Stops once the next bound is below the best value so far by more than
-    VALUE_TIE_TOL plus 1e-6 of that value's magnitude, a margin for LP
-    error: every profile left unsolved then falls short of ``contenders``.
-    Once the search's time limit has passed, stops before the next LP
-    provided one result exists. Returns (results in search order, profiles
-    found, profiles covered, truncated).
-    """
-    start = time.perf_counter()
-    leaves, covered, truncated = search_profiles(
-        blocks, lambda combo, D, d0: (blocks.bound(combo), combo), time_limit
-    )
-    deadline = None if time_limit is None else start + time_limit
-    solved = []
     best = -math.inf
-    for i in sorted(range(len(leaves)), key=lambda j: -leaves[j][0]):
-        bound, combo = leaves[i]
-        if solved and bound < best - (VALUE_TIE_TOL + 1e-6 * max(1.0, abs(best))):
+    found = covered = 0
+    truncated = False
+    while heap:
+        neg_bound, combo, s = heap[0]
+        if results and -neg_bound < best - (VALUE_TIE_TOL + 1e-6 * max(1.0, abs(best))):
+            covered = math.prod(sizes)
             break
-        if solved and deadline is not None and time.perf_counter() > deadline:
+        if results and deadline is not None and time.perf_counter() > deadline:
             truncated = True
             break
-        result = solve(combo)
-        if result is not None:
-            solved.append((i, result))
-            best = max(best, result[0])
-    return [result for _, result in sorted(solved)], len(leaves), covered, truncated
+        heapq.heappop(heap)
+        node = blocks.extend(combo, s) if combo else (*blocks.rows(()), None)
+        depth = len(combo)
+        if node is None:
+            covered += math.prod(sizes[depth:])
+        elif depth < len(sizes):
+            for a, bound in enumerate(blocks.bound(combo).tolist()):
+                heapq.heappush(heap, (-bound, combo + (a,), node[2]))
+        else:
+            found += 1
+            covered += 1
+            result = solve(combo, *node[:2])
+            if result is not None:
+                results.append((combo, result))
+                best = max(best, result[0])
+    results.sort(key=lambda item: item[0])
+    return [result for _, result in results], found, covered, truncated
 
 
 def solve_plfe(
@@ -553,19 +540,18 @@ def solve_plfe(
 ) -> LfeResult:
     """Pessimistic leader-follower equilibrium of a one-level tree game.
 
-    Searches the follower profile space depth-first in lexicographic order
-    for the profiles whose region has nonempty interior, then solves their
-    max-min LPs in order of decreasing upper bound until no profile left can
-    win (``best_first``). Returns the supremum value; the strategy is exact
-    when the supremum is attained and an additive alpha-approximation
-    otherwise. A time limit truncates the search or the LPs after it and
-    flags the result as incomplete.
+    Searches prefixes of followers best bound first, pruning every prefix
+    whose region has an empty interior, and solves the max-min LP of each
+    profile it reaches until no profile left can win (``best_first``).
+    Returns the supremum value; the strategy is exact when the supremum is
+    attained and an additive alpha-approximation otherwise. A time limit
+    truncates the search after it and flags the result as incomplete.
     """
     blocks = _tree_blocks(game)
     _check_alpha(alpha)
 
-    def work(combo):
-        v, s, _ = _max_min(blocks, combo, blocks.rows(combo)[0])
+    def work(combo, D, d0):
+        v, s, _ = _max_min(blocks, combo, D)
         return v, combo, s
 
     results, survivors, processed, truncated = best_first(blocks, work, time_limit)

@@ -20,12 +20,12 @@ from polystack.olfe_solver import NoPureCommitmentError, solve_olfe
 from polystack.oracles import Graph, grid_oracle, supremum_1d
 from polystack.plfe_exact import (
     EPS_TOL,
+    VALUE_TIE_TOL,
     _Blocks,
     attainment_flag,
     best_first,
     emptiness_check,
     find_apx,
-    search_profiles,
     solve_max_min,
     solve_plfe,
 )
@@ -393,17 +393,69 @@ def _flat_inducible(game):
     return out
 
 
+def _profile_bound(game, combo):
+    """The leader's best pure payoff against the profile: the bound under
+    which ``best_first`` solves it."""
+    return float(np.max(sum(game.leader_edge(p)[1][a] for p, a in zip(game.followers, combo))))
+
+
+# per solver: the solve, the module and name of its per-profile LP, and the
+# diagnostic counting the profiles it solves
+_SOLVERS = {
+    "plfe": (solve_plfe, plfe_exact, "_max_min", "survivors"),
+    "olfe": (solve_olfe, olfe_solver, "_profile_lp", "inducible_profiles"),
+}
+
+
+def _solve_recorded(monkeypatch, game, solver, flat):
+    """Runs the solver on the game, recording the profiles ``best_first``
+    hands to its per-profile LP, and checks them against ``flat``, the
+    profiles with a full-dimensional region: they are some of them, each
+    once, among them every one whose bound is within the stop margin of the
+    best value, and the solver's diagnostic counts them. Returns the
+    result."""
+    solve, module, name, diagnostic = _SOLVERS[solver]
+    lp = getattr(module, name)
+    solved, values = [], []
+
+    def recorded(blocks, combo, *args):
+        got = lp(blocks, combo, *args)
+        solved.append(combo)
+        if got is not None:
+            values.append(got[0])
+        return got
+
+    with monkeypatch.context() as m:
+        m.setattr(module, name, recorded)
+        r = solve(game)
+    assert set(solved) <= set(flat) and len(set(solved)) == len(solved)
+    best = max(values)
+    margin = VALUE_TIE_TOL + 1e-6 * max(1.0, abs(best))
+    assert {c for c in flat if _profile_bound(game, c) >= best - margin} <= set(solved)
+    assert r.diagnostics[diagnostic] == len(solved)
+    return r
+
+
+def _every_profile(game):
+    """``best_first`` with a value of -inf, which never stops the search:
+    (the profiles it reaches, in the order it returns them, profiles
+    solved, covered, truncated)."""
+    results, found, covered, truncated = best_first(
+        _Blocks(game), lambda combo, D, d0: (-math.inf, combo)
+    )
+    return [combo for _, combo in results], found, covered, truncated
+
+
 class TestSearchProfiles:
     @pytest.mark.parametrize("game", list(_search_games()))
-    def test_survivors_match_flat_reference(self, game):
+    def test_survivors_match_flat_reference(self, game, monkeypatch):
         flat = _flat_survivors(game)
-        blocks = _Blocks(game)
-        found, covered, truncated = search_profiles(blocks, lambda combo, D, d0: combo)
+        found, solved, covered, truncated = _every_profile(game)
         assert found == flat  # same profiles, same lexicographic order
         total = math.prod(game.num_actions(p) for p in game.followers)
-        assert covered == total and not truncated
-        assert solve_plfe(game).diagnostics["survivors"] == len(flat)
-        assert solve_olfe(game).diagnostics["inducible_profiles"] == len(flat)
+        assert solved == len(flat) and covered == total and not truncated
+        for solver in _SOLVERS:
+            _solve_recorded(monkeypatch, game, solver, flat)
 
     def test_pruned_subtree_counts_at_full_size(self):
         # follower 1's action 2 is strictly dominated: its region is empty,
@@ -426,19 +478,17 @@ class TestSearchProfiles:
             assert r.anytime_complete
 
     @pytest.mark.parametrize("game", list(_general_games()))
-    def test_general_graph_matches_flat_reference(self, game):
+    def test_general_graph_matches_flat_reference(self, game, monkeypatch):
         flat = _flat_inducible(game)
-        blocks = _Blocks(game)
-        found, covered, truncated = search_profiles(blocks, lambda combo, D, d0: combo)
+        found, solved, covered, truncated = _every_profile(game)
         assert found == [combo for combo, _ in flat]
         total = math.prod(game.num_actions(p) for p in game.followers)
-        assert covered == total and not truncated
+        assert solved == len(flat) and covered == total and not truncated
         if not flat:
             with pytest.raises(NoPureCommitmentError):
                 solve_olfe(game)
             return
-        r = solve_olfe(game)
-        assert r.diagnostics["inducible_profiles"] == len(flat)
+        r = _solve_recorded(monkeypatch, game, "olfe", [combo for combo, _ in flat])
         assert r.profiles_enumerated == total
         best = max(v for _, v in flat)
         assert r.value == pytest.approx(best, abs=1e-9)
@@ -447,11 +497,12 @@ class TestSearchProfiles:
 
 
 def _solve_every_profile(blocks, solve, time_limit=None):
-    """``best_first`` without its bound: solves every profile the search
-    finds, in search order."""
-    combos, covered, truncated = search_profiles(blocks, lambda combo, D, d0: combo, time_limit)
-    results = [r for r in map(solve, combos) if r is not None]
-    return results, len(combos), covered, truncated
+    """``best_first`` without its search or its bound: solves every profile
+    of ``_flat_survivors``, in lexicographic order."""
+    combos = _flat_survivors(blocks.game)
+    results = [r for r in (solve(combo, *blocks.rows(combo)) for combo in combos) if r is not None]
+    total = math.prod(blocks.game.num_actions(p) for p in blocks.followers)
+    return results, len(combos), total, False
 
 
 def _rounded_spg(n, m, seed):
@@ -482,17 +533,24 @@ def _tie_games():
 class TestBestFirst:
     @pytest.mark.parametrize("args", [(5, 6, 1), (4, 8, 2)])
     def test_profile_lp_budget(self, lp_calls, args):
-        # 150 and 165 profiles survive the search; the bound leaves all but
-        # 8 and 29 of them unsolved
+        # 150 and 165 profiles have a full-dimensional region; the bound
+        # leaves all but 8 and 29 of them unsolved
         g = random_oltpg(*args)
         for solve, kind in ((solve_plfe, "_max_min"), (solve_olfe, "_profile_lp")):
             lp_calls.clear()
             solve(g)
             assert sum(name == kind for name, _, _ in lp_calls) <= 40, kind
 
+    def test_margin_lp_budget(self, lp_calls):
+        # a search of every prefix ran 5,490 margin LPs here; the bound
+        # leaves prefixes that cannot win unextended
+        solve_plfe(random_oltpg(6, 8, 1))
+        assert sum(name in ("_emptiness", "_strict_eps_lp") for name, _, _ in lp_calls) <= 300
+
     @pytest.mark.parametrize("game", list(_tie_games()))
     def test_same_winner_as_solving_every_profile(self, game, monkeypatch):
-        fast = (solve_plfe(game), solve_olfe(game))
+        flat = _flat_survivors(game)
+        fast = [_solve_recorded(monkeypatch, game, solver, flat) for solver in _SOLVERS]
         monkeypatch.setattr(plfe_exact, "best_first", _solve_every_profile)
         monkeypatch.setattr(olfe_solver, "best_first", _solve_every_profile)
         reference = (solve_plfe(game), solve_olfe(game))
@@ -501,17 +559,39 @@ class TestBestFirst:
             assert r.profile == ref.profile
             assert r.attained == ref.attained
             assert r.strategy.probs.tobytes() == ref.strategy.probs.tobytes()
-            assert r.diagnostics == ref.diagnostics
 
     def test_deadline_stops_before_next_lp(self):
         # every value is 0, far below every bound, so only the deadline
-        # stops the stage: the search ends well within it, and it has
-        # passed after the first solve
+        # stops the search; it has passed from the start, so the driver
+        # extends prefixes down to its first result and no further
         blocks = _Blocks(random_oltpg(3, 3, 0))
+        events = []
+        extend = blocks.extend
 
-        def slow(combo):
-            time.sleep(0.6)
+        def logged(combo, s):
+            events.append("extend")
+            return extend(combo, s)
+
+        def solve(combo, D, d0):
+            events.append("solve")
             return 0.0, combo
 
-        results, found, _, truncated = best_first(blocks, slow, time_limit=0.5)
-        assert len(results) == 1 and found > 1 and truncated
+        blocks.extend = logged
+        results, found, covered, truncated = best_first(blocks, solve, time_limit=0.0)
+        assert len(results) == found == 1 and truncated
+        assert events.count("solve") == 1 and events[-1] == "solve"
+        assert covered < 3**2
+
+    def test_bound_stop_covers_every_profile(self):
+        # each value equals its profile's bound, so the first profile solved
+        # is the best and the bound stops the search long before the
+        # deadline; the subtrees it cuts count at full size
+        game = random_oltpg(5, 6, 1)
+        blocks = _Blocks(game)
+        results, found, covered, truncated = best_first(
+            blocks, lambda combo, D, d0: (_profile_bound(game, combo), combo), time_limit=60.0
+        )
+        assert found == len(results) == 1 and covered == 6**4 and not truncated
+        for solve in (solve_plfe, solve_olfe):
+            r = solve(game, time_limit=60.0)
+            assert r.profiles_enumerated == 6**4 and r.anytime_complete
