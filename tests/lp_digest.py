@@ -6,10 +6,12 @@ with their count per calling function (the LP kinds of ``test_lp_kinds``), a
 sha256 over every call's inputs, status, ``x`` bytes and ``repr`` of its
 objective, and a sha256 over every ``solve`` exit code, stdout and stderr.
 A change meant to keep every LP and every output bit-for-bit prints the
-same line before and after. The games: ``random_oltpg`` n 3-5 x m 2-4 x
-seeds 0-2 in both kinds, in all four tree modes; every game of
-``test_golden`` in its stored modes; and ``pure-olfe`` on
-``test_plfe_exact._general_game(0..5)``. pytest does not collect this file.
+same line before and after. A change that skips LPs, such as a tighter
+search, moves ``calls`` and ``lp``, but must never move ``cli``. The
+games: ``random_oltpg`` n 3-5 x m 2-4 x seeds 0-2 in both kinds, in all
+four tree modes; every game of ``test_golden`` in its stored modes; and
+``pure-olfe`` on ``test_plfe_exact._general_game(0..5)``. pytest does not
+collect this file.
 """
 
 import collections

@@ -121,6 +121,25 @@ class TestSolve:
         _, b = run_out(capsys, ["solve", "--mode", "pessimistic", game_file])
         assert a == b
 
+    def test_seven_followers_eight_actions(self, capsys, tmp_path):
+        # a default-range game whose pessimistic supremum is not attained;
+        # its max-min LP drifts off its rows before the re-solve mends it
+        code, out = run_out(
+            capsys, ["generate", "random", "--players", "7", "--actions", "8", "--seed", "1"]
+        )
+        assert code == 0
+        path = tmp_path / "game.json"
+        path.write_text(out)
+        solved = {}
+        for mode in ("pessimistic", "optimistic"):
+            code, out = run_out(capsys, ["solve", "--mode", mode, str(path)])
+            assert code == 0, mode
+            solved[mode] = json.loads(out)
+        pessimistic, optimistic = solved["pessimistic"], solved["optimistic"]
+        assert pessimistic["attained"] is False
+        assert pessimistic["profile"] == optimistic["profile"]
+        assert pessimistic["value"] == pytest.approx(optimistic["value"], abs=1e-9)
+
 
 class TestEval:
     def test_eval_probs_list(self, capsys, game_file, tmp_path):
