@@ -1,6 +1,5 @@
 import itertools
 import math
-import time
 
 import numpy as np
 import pytest
