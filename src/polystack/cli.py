@@ -116,6 +116,11 @@ def _check_time_limit(time_limit: float | None) -> None:
         raise DomainError(f"--time-limit must be a non-negative number, got {time_limit!r}")
 
 
+def _check_threads(threads: int) -> None:
+    if threads < 1:
+        raise DomainError(f"--threads must be at least 1, got {threads}")
+
+
 def _checked_strategy(probs, game: PolymatrixGame) -> MixedStrategy:
     try:
         s = MixedStrategy(game.leader, np.array(probs, dtype=float))
@@ -180,6 +185,7 @@ def _cmd_solve(args) -> int:
     if args.mode in ("pessimistic", "apx") and not 0 < args.alpha < float("inf"):
         raise DomainError(f"alpha must be positive and finite, got {args.alpha!r}")
     _check_time_limit(args.time_limit)
+    _check_threads(args.threads)
     if args.mode == "pessimistic":
         out = _result_json(args.mode, solve_plfe(game, alpha=args.alpha, time_limit=args.time_limit))
     elif args.mode in ("optimistic", "pure-olfe"):
@@ -322,6 +328,7 @@ def _cmd_bench(args) -> int:
     if any(n < 2 for n in args.n) or any(m < 1 for m in args.m):
         raise DomainError("--n needs at least 2 players and --m at least 1 action")
     _check_time_limit(args.time_limit)
+    _check_threads(args.threads)
     sys.stdout.write("n,m,mean_seconds,std_seconds,timeouts,profiles_enumerated\n")
     for n in args.n:
         for m in args.m:

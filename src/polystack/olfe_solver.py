@@ -15,20 +15,20 @@ also depend on her follower neighbours' actions; a prefix of followers
 bounds that dependence over every completion, so an empty prefix region
 still cuts off its subtree. A prefix's upper bound on the value of every
 profile extending it orders the search, which stops once no prefix left
-can win.
+can win. Where it can cut, that bound is the profile LP itself
+(``plfe_exact._profile_lp``) over the prefix's closed region, with each
+unassigned follower's best leader payoff in the objective; a full profile's
+LP is its solve, so no profile's LP runs twice.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from . import lp_core
 from .game_model import MixedStrategy, PolymatrixGame
 from .plfe_exact import (
     LfeResult,
     SolverFailure,
     _Blocks,
-    _optimum,
+    _profile_lp,
     best_first,
     contenders,
     within_simplex,
@@ -52,30 +52,17 @@ def olfe_profile_lp(
     return None if rows is None else _profile_lp(blocks, combo, *rows)
 
 
-def _profile_lp(blocks: _Blocks, combo: tuple, D: np.ndarray, d0: np.ndarray):
-    A_eq = np.ones((1, blocks.m_n))
-    c = np.zeros(blocks.m_n)
-    for p, a in zip(blocks.followers, combo):
-        c += blocks.L[p][a]
-    got = _optimum(lp_core.maximize(c, -D, d0, A_eq, [1.0]), "optimistic profile", infeasible=True)
-    return None if got is None else (float(got[1]), MixedStrategy(blocks.game.leader, got[0]))
-
-
 def solve_olfe(game: PolymatrixGame, time_limit: float | None = None) -> LfeResult:
     """Optimistic equilibrium: max over inducible follower profiles of the
     per-profile LP. The optimum is always attained.
 
     Searches prefixes of followers best bound first, pruning every prefix
     whose region is already empty, and solves the LP of each profile it
-    reaches until no profile left can win (``best_first``). A time limit
+    reaches until no profile left can win (``best_first`` without a
+    ``solve``: the profile LP is both a full profile's bound and its solve). A time limit
     truncates the search after it and flags the result as incomplete."""
     blocks = _Blocks(game)
-
-    def best_commitment(combo, D, d0):
-        got = _profile_lp(blocks, combo, D, d0)
-        return None if got is None else (got[0], combo, got[1])
-
-    results, inducible, processed, truncated = best_first(blocks, best_commitment, time_limit)
+    results, inducible, processed, truncated = best_first(blocks, time_limit=time_limit)
     if not results:
         if game.is_one_level_tree():
             raise SolverFailure("one-level tree games always admit an inducible profile")

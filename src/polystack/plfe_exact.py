@@ -5,15 +5,21 @@ nonempty interior, and picks the one whose max-min LP has the highest
 value. One best-first branch and bound over prefixes of followers
 (``best_first``) finds and solves them. A profile's region is the
 intersection of its followers' regions, so a prefix whose region is
-already empty cuts off every profile that extends it. A prefix's free upper
-bound on the value of every profile extending it (``_Blocks.bound``) orders
-the search, which stops once no prefix left can come within
-``VALUE_TIE_TOL`` of the best value found. On a one-level tree each follower
-is one type of the equivalent Bayesian game, so this is the bound HBGS puts
-on a partial type assignment. When the optimum is a supremum rather than a
-maximum (some follower can tie with an action that hurts the leader), an
-additive alpha-approximate strategy is computed instead of the unattainable
-exact one.
+already empty cuts off every profile that extends it. Two upper bounds on
+the value of every profile extending a prefix order the search. The free
+one (``_Blocks.bound``) ignores the region: on a one-level tree each
+follower is one type of the equivalent Bayesian game, so it is the bound
+HBGS puts on a partial type assignment. The LP bound (``_profile_lp``)
+maximizes the same payoff over the prefix's closed region; for a full
+profile it is the optimistic profile LP of the "multiple LPs" method, which
+bounds the max-min LP. It runs only where it can cut: once a result exists,
+on a prefix whose key is above the best value by more than ``_tie_margin``.
+A full profile popped with such a key gets its LP bound first, and its
+max-min LP only if it pops again. The search stops once no prefix left can
+come within ``VALUE_TIE_TOL`` of the best value found. When the optimum is
+a supremum rather than a maximum (some follower can tie with an action
+that hurts the leader), an additive alpha-approximate strategy is computed
+instead of the unattainable exact one.
 
 The per-profile LPs take a profile as a ``combo``, its actions in
 ``game.followers`` order, as the search yields it; only the public
@@ -56,7 +62,9 @@ class LfeResult:
     (``profiles_enumerated``) and the ``diagnostics`` ``perfbench/spans.py``
     reads: ``survivors`` from PLFE, ``inducible_profiles`` from OLFE, none from apx.
     Both count the profiles the search reached and proved inducible, each
-    solved by one LP; profiles whose bound cannot win are never reached."""
+    solved by one LP; profiles whose bound cannot win are never reached.
+    PLFE counts only the profiles its LP bounds left to a max-min LP: on
+    trees without ties in value, typically the winner and at most one more."""
 
     value: float
     strategy: MixedStrategy
@@ -174,7 +182,8 @@ class _Blocks:
         others. Each bounds the max-min and optimistic LP values of every
         profile extending its prefix, since each follower's term in either
         is at most L[p][a_p] s and s is a distribution; for a full profile
-        it is the leader's best pure payoff against it."""
+        it is the leader's best pure payoff against it. It is free, but
+        ignores the prefix's region; ``_profile_lp`` takes it into account."""
         k = len(combo)
         payoff = np.zeros(self.m_n)
         for p, a in zip(self.followers, combo):
@@ -477,55 +486,109 @@ def contenders(results: list) -> list:
     return [r for r in results if r[0] >= best - VALUE_TIE_TOL]
 
 
-def best_first(blocks: _Blocks, solve, time_limit: float | None = None):
-    """Calls ``solve(combo, D, d0)`` on follower pure profiles whose
-    best-response region has nonempty interior, with ``combo`` the tuple of
-    actions in ``game.followers`` order and (D, d0) the profile's stacked
-    margin rows, best bound first, and keeps the results that are not None;
-    a result's entry 0 is the profile's value, at most its bound.
+def _tie_margin(best: float) -> float:
+    """How far below ``best`` a value or bound may fall and still tie it:
+    VALUE_TIE_TOL plus 1e-6 of its magnitude, a margin for LP error."""
+    return VALUE_TIE_TOL + 1e-6 * max(1.0, abs(best))
+
+
+def _padded(bound: float) -> float:
+    """An LP's bound plus 1e-7 of its magnitude, a slack for LP error."""
+    return bound + 1e-7 * max(1.0, abs(bound))
+
+
+def _profile_lp(blocks: _Blocks, combo: tuple, D: np.ndarray, d0: np.ndarray):
+    """max (sum of L[p][a_p] over the prefix combo + ``tail``[len(combo)]) s
+    over the closed region D s + d0 >= 0 of the simplex: (value, strategy),
+    or None when the region is empty. For a full profile the tail is zero
+    and this is the optimistic profile LP: the leader's best commitment
+    making the profile a weak pure equilibrium. For any prefix it bounds
+    that LP and the max-min LP of every profile extending the prefix:
+    their regions lie in its closed region, and each follower's term in
+    either is at most L[p][a_p] s, at most (max_a L[p][a]) s entrywise."""
+    c = blocks.tail[len(combo)].copy()
+    for p, a in zip(blocks.followers, combo):
+        c += blocks.L[p][a]
+    A_eq = np.ones((1, blocks.m_n))
+    got = _optimum(lp_core.maximize(c, -D, d0, A_eq, [1.0]), "optimistic profile", infeasible=True)
+    return None if got is None else (float(got[1]), MixedStrategy(blocks.game.leader, got[0]))
+
+
+def best_first(blocks: _Blocks, solve=None, time_limit: float | None = None):
+    """Solves follower pure profiles whose best-response region has
+    nonempty interior, best bound first, and keeps the results that are not
+    None; a result's entry 0 is the profile's value. ``solve(combo, D, d0)``
+    gives a result from ``combo``, the tuple of actions in
+    ``game.followers`` order, and (D, d0), the profile's stacked margin
+    rows; its value must be at most the profile's ``_profile_lp`` value.
+    Without ``solve`` a profile's result is (value, combo, strategy) of
+    ``_profile_lp``.
 
     Branch and bound over prefixes of followers: a heap holds prefixes keyed
-    by ``_Blocks.bound``, lexicographic among equal bounds. A popped prefix
-    runs ``_Blocks.extend``, whose rows come from the prefix alone. An empty
-    region cuts off the prefix's subtree, which counts at its full size; a
-    full profile goes to ``solve``; else the prefix's children join the heap.
-    Stops once the top bound is below the best value so far by more than
-    VALUE_TIE_TOL plus 1e-6 of that value's magnitude, a margin for LP
-    error: every profile left then falls short of ``contenders``, and its
-    subtree counts at full size. Once the time limit has passed, stops
-    before the next node provided one result exists. Returns (results in
-    lexicographic order, profiles solved, profiles covered, truncated).
+    by an upper bound on the value of every profile extending them,
+    lexicographic among equal keys. A prefix is extended
+    (``_Blocks.extend``, whose rows come from the prefix alone) when it
+    first pops. An empty region cuts off the prefix's subtree, which counts
+    at its full size. Else, if a result exists and the prefix's key is above
+    the best value by more than ``_tie_margin``, so that a tighter bound can
+    cut it, ``_profile_lp`` bounds it over its closed region: it goes back
+    on the heap keyed by the lower of its key and that bound, ``_padded``
+    for LP error. A full profile is bounded so too when there is a
+    ``solve``; without one its bound is its result. Otherwise, or when it
+    pops again, a full profile is solved and a prefix's children join the
+    heap, keyed by the lower of ``_Blocks.bound`` and the prefix's key.
+
+    Stops once the top key is below the best value so far by more than
+    ``_tie_margin``: every profile left then falls short of ``contenders``,
+    and its subtree counts at full size. Once the time limit has passed,
+    stops before the next node provided one result exists. Returns (results
+    in lexicographic order, profiles solved, profiles covered, truncated).
     Raises ValueError on a negative or NaN time limit.
     """
     if time_limit is not None and not time_limit >= 0:
         raise ValueError(f"time limit must be a non-negative number, got {time_limit!r}")
     sizes = [blocks.game.num_actions(p) for p in blocks.followers]
     deadline = None if time_limit is None else time.perf_counter() + time_limit
-    heap = [(-math.inf, (), None)]  # the root prefix, with no rows
+    # (-key, prefix, interior point of its parent's region, its rows and
+    # point once extended); the root prefix has no rows
+    heap = [(-math.inf, (), None, None)]
     results = []
     best = -math.inf
     found = covered = 0
     truncated = False
     while heap:
-        neg_bound, combo, s = heap[0]
-        if results and -neg_bound < best - (VALUE_TIE_TOL + 1e-6 * max(1.0, abs(best))):
+        neg_key, combo, s, node = heapq.heappop(heap)
+        key = -neg_key
+        if results and key < best - _tie_margin(best):
             covered = math.prod(sizes)
             break
         if results and deadline is not None and time.perf_counter() > deadline:
             truncated = True
             break
-        heapq.heappop(heap)
-        node = blocks.extend(combo, s) if combo else (*blocks.rows(()), None)
         depth = len(combo)
         if node is None:
-            covered += math.prod(sizes[depth:])
-        elif depth < len(sizes):
+            node = blocks.extend(combo, s) if combo else (*blocks.rows(()), None)
+            if node is None:
+                covered += math.prod(sizes[depth:])
+                continue
+            can_cut = results and key > best + _tie_margin(best)
+            if can_cut and (solve is not None or depth < len(sizes)):
+                got = _profile_lp(blocks, combo, *node[:2])
+                if got is not None:
+                    key = min(key, _padded(got[0]))
+                heapq.heappush(heap, (-key, combo, s, node))
+                continue
+        if depth < len(sizes):
             for a, bound in enumerate(blocks.bound(combo).tolist()):
-                heapq.heappush(heap, (-bound, combo + (a,), node[2]))
+                heapq.heappush(heap, (-min(bound, key), combo + (a,), node[2], None))
         else:
             found += 1
             covered += 1
-            result = solve(combo, *node[:2])
+            if solve is not None:
+                result = solve(combo, *node[:2])
+            else:
+                got = _profile_lp(blocks, combo, *node[:2])
+                result = None if got is None else (got[0], combo, got[1])
             if result is not None:
                 results.append((combo, result))
                 best = max(best, result[0])
@@ -542,7 +605,8 @@ def solve_plfe(
 
     Searches prefixes of followers best bound first, pruning every prefix
     whose region has an empty interior, and solves the max-min LP of each
-    profile it reaches until no profile left can win (``best_first``).
+    profile it reaches until no profile left can win (``best_first``); a
+    profile whose optimistic LP bound falls short is never solved.
     Returns the supremum value; the strategy is exact when the supremum is
     attained and an additive alpha-approximation otherwise. A time limit
     truncates the search after it and flags the result as incomplete.

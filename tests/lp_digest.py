@@ -7,11 +7,11 @@ sha256 over every call's inputs, status, ``x`` bytes and ``repr`` of its
 objective, and a sha256 over every ``solve`` exit code, stdout and stderr.
 A change meant to keep every LP and every output bit-for-bit prints the
 same line before and after. A change that skips LPs, such as a tighter
-search, moves ``calls`` and ``lp``, but must never move ``cli``. The
-games: ``random_oltpg`` n 3-5 x m 2-4 x seeds 0-2 in both kinds, in all
-four tree modes; every game of ``test_golden`` in its stored modes; and
-``pure-olfe`` on ``test_plfe_exact._general_game(0..5)``. pytest does not
-collect this file.
+search, moves ``calls`` and ``lp``, but must never move ``cli``;
+``test_lp_digest`` pins it. The games: ``random_oltpg`` n 3-5 x m 2-4 x
+seeds 0-2 in both kinds, in all four tree modes; every game of
+``test_golden`` in its stored modes; and ``pure-olfe`` on
+``test_plfe_exact._general_game(0..5)``. pytest does not collect this file.
 """
 
 import collections
@@ -51,7 +51,9 @@ def _arg_bytes(a) -> bytes:
     return repr(a.shape).encode() + a.tobytes() + b";"
 
 
-def main():
+def digest():
+    """(number of games, ``maximize`` calls per calling function, sha256 hex
+    of every LP, sha256 hex of every ``solve`` output) over ``games()``."""
     lp_hash, cli_hash = hashlib.sha256(), hashlib.sha256()
     callers = collections.Counter()
     maximize = lp_core.maximize
@@ -67,19 +69,24 @@ def main():
 
     lp_core.maximize = recorded
     count = 0
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "game.json"
-        for game, modes in games():
-            count += 1
-            path.write_text(json.dumps(game_to_json_dict(game)))
-            for mode in modes:
-                code, out, err = _run(["solve", "--mode", mode, str(path)])
-                cli_hash.update(f"{code}\0{out}\0{err}\0".encode())
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "game.json"
+            for game, modes in games():
+                count += 1
+                path.write_text(json.dumps(game_to_json_dict(game)))
+                for mode in modes:
+                    code, out, err = _run(["solve", "--mode", mode, str(path)])
+                    cli_hash.update(f"{code}\0{out}\0{err}\0".encode())
+    finally:
+        lp_core.maximize = maximize
+    return count, callers, lp_hash.hexdigest(), cli_hash.hexdigest()
+
+
+def main():
+    count, callers, lp, cli = digest()
     kinds = " ".join(f"{name}={n}" for name, n in sorted(callers.items()))
-    print(
-        f"games {count} calls {sum(callers.values())} ({kinds}) "
-        f"lp {lp_hash.hexdigest()} cli {cli_hash.hexdigest()}"
-    )
+    print(f"games {count} calls {sum(callers.values())} ({kinds}) lp {lp} cli {cli}")
 
 
 if __name__ == "__main__":

@@ -111,6 +111,13 @@ class TestSolve:
             capsys, ["solve", "--mode", mode, "--time-limit", limit, game_file], "--time-limit"
         )
 
+    @pytest.mark.parametrize("mode", ["pessimistic", "optimistic", "apx"])
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_bad_threads_is_domain_error(self, capsys, game_file, mode, threads):
+        assert_domain_error(
+            capsys, ["solve", "--mode", mode, "--threads", threads, game_file], "--threads"
+        )
+
     def test_threads_byte_identical(self, capsys, game_file):
         _, a = run_out(capsys, ["solve", "--mode", "pessimistic", "--threads", "1", game_file])
         _, b = run_out(capsys, ["solve", "--mode", "pessimistic", "--threads", "4", game_file])
@@ -518,7 +525,14 @@ class TestVerify:
 class TestBench:
     @pytest.mark.parametrize(
         "flag,value",
-        [("--seeds", "0"), ("--n", "1"), ("--m", "0"), ("--time-limit", "nan"), ("--time-limit", "-1")],
+        [
+            ("--seeds", "0"),
+            ("--n", "1"),
+            ("--m", "0"),
+            ("--time-limit", "nan"),
+            ("--time-limit", "-1"),
+            ("--threads", "0"),
+        ],
     )
     def test_bad_argument_is_domain_error(self, capsys, flag, value):
         assert run(["bench", "--n", "3", "--m", "2", "--seeds", "1", flag, value]) == 1

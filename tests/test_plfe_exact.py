@@ -398,39 +398,46 @@ def _profile_bound(game, combo):
     return float(np.max(sum(game.leader_edge(p)[1][a] for p, a in zip(game.followers, combo))))
 
 
-# per solver: the solve, the module and name of its per-profile LP, and the
-# diagnostic counting the profiles it solves
+# per solver: the solve, the name of the plfe_exact function that solves a
+# profile, and the diagnostic counting the profiles it solves
 _SOLVERS = {
-    "plfe": (solve_plfe, plfe_exact, "_max_min", "survivors"),
-    "olfe": (solve_olfe, olfe_solver, "_profile_lp", "inducible_profiles"),
+    "plfe": (solve_plfe, "_max_min", "survivors"),
+    "olfe": (solve_olfe, "_profile_lp", "inducible_profiles"),
 }
 
 
+def _optimistic(game, combos):
+    """{combo: its optimistic profile LP value} over the given profiles."""
+    return {c: olfe_solver.olfe_profile_lp(game, dict(zip(game.followers, c)))[0] for c in combos}
+
+
 def _solve_recorded(monkeypatch, game, solver, flat):
-    """Runs the solver on the game, recording the profiles ``best_first``
-    hands to its per-profile LP, and checks them against ``flat``, the
-    profiles with a full-dimensional region: they are some of them, each
-    once, among them every one whose bound is within the stop margin of the
+    """Runs the solver on the game, recording the full profiles
+    ``best_first`` hands to its per-profile LP, and checks them against
+    ``flat``, the profiles with a full-dimensional region mapped to their
+    optimistic profile LP values: they are some of them, each once, among
+    them every one whose optimistic value is within the stop margin of the
     best value, and the solver's diagnostic counts them. Returns the
     result."""
-    solve, module, name, diagnostic = _SOLVERS[solver]
-    lp = getattr(module, name)
+    solve, name, diagnostic = _SOLVERS[solver]
+    lp = getattr(plfe_exact, name)
     solved, values = [], []
 
     def recorded(blocks, combo, *args):
         got = lp(blocks, combo, *args)
-        solved.append(combo)
-        if got is not None:
-            values.append(got[0])
+        if len(combo) == len(blocks.followers):  # not a prefix's bound LP
+            solved.append(combo)
+            if got is not None:
+                values.append(got[0])
         return got
 
     with monkeypatch.context() as m:
-        m.setattr(module, name, recorded)
+        m.setattr(plfe_exact, name, recorded)
         r = solve(game)
     assert set(solved) <= set(flat) and len(set(solved)) == len(solved)
     best = max(values)
     margin = VALUE_TIE_TOL + 1e-6 * max(1.0, abs(best))
-    assert {c for c in flat if _profile_bound(game, c) >= best - margin} <= set(solved)
+    assert {c for c, v in flat.items() if v >= best - margin} <= set(solved)
     assert r.diagnostics[diagnostic] == len(solved)
     return r
 
@@ -454,7 +461,7 @@ class TestSearchProfiles:
         total = math.prod(game.num_actions(p) for p in game.followers)
         assert solved == len(flat) and covered == total and not truncated
         for solver in _SOLVERS:
-            _solve_recorded(monkeypatch, game, solver, flat)
+            _solve_recorded(monkeypatch, game, solver, _optimistic(game, flat))
 
     def test_pruned_subtree_counts_at_full_size(self):
         # follower 1's action 2 is strictly dominated: its region is empty,
@@ -487,7 +494,7 @@ class TestSearchProfiles:
             with pytest.raises(NoPureCommitmentError):
                 solve_olfe(game)
             return
-        r = _solve_recorded(monkeypatch, game, "olfe", [combo for combo, _ in flat])
+        r = _solve_recorded(monkeypatch, game, "olfe", dict(flat))
         assert r.profiles_enumerated == total
         best = max(v for _, v in flat)
         assert r.value == pytest.approx(best, abs=1e-9)
@@ -495,10 +502,14 @@ class TestSearchProfiles:
         assert r.profile == dict(zip(game.followers, first))
 
 
-def _solve_every_profile(blocks, solve, time_limit=None):
-    """``best_first`` without its search or its bound: solves every profile
+def _solve_every_profile(blocks, solve=None, time_limit=None):
+    """``best_first`` without its search or its bounds: solves every profile
     of ``_flat_survivors``, in lexicographic order."""
     combos = _flat_survivors(blocks.game)
+    if solve is None:
+        def solve(combo, D, d0):
+            got = plfe_exact._profile_lp(blocks, combo, D, d0)
+            return None if got is None else (got[0], combo, got[1])
     results = [r for r in (solve(combo, *blocks.rows(combo)) for combo in combos) if r is not None]
     total = math.prod(blocks.game.num_actions(p) for p in blocks.followers)
     return results, len(combos), total, False
@@ -530,15 +541,43 @@ def _tie_games():
 
 
 class TestBestFirst:
-    @pytest.mark.parametrize("args", [(5, 6, 1), (4, 8, 2)])
+    @pytest.mark.parametrize("args", [(5, 6, 1), (4, 8, 2), (3, 14, 1001)])
     def test_profile_lp_budget(self, lp_calls, args):
-        # 150 and 165 profiles have a full-dimensional region; the bound
-        # leaves all but 8 and 29 of them unsolved
+        # 150, 165 and 159 profiles have a full-dimensional region; the
+        # bounds leave all but 2, 1 and 2 of them without a max-min LP.
+        # OLFE's profile LPs include the bound LPs on prefixes
         g = random_oltpg(*args)
-        for solve, kind in ((solve_plfe, "_max_min"), (solve_olfe, "_profile_lp")):
+        for solve, kind, cap in ((solve_plfe, "_max_min", 3), (solve_olfe, "_profile_lp", 40)):
             lp_calls.clear()
             solve(g)
-            assert sum(name == kind for name, _, _ in lp_calls) <= 40, kind
+            assert sum(name == kind for name, _, _ in lp_calls) <= cap, kind
+
+    @pytest.mark.parametrize(
+        "game",
+        [
+            pytest.param(random_oltpg(n, m, seed), id=f"random-{n}-{m}-{seed}")
+            for n in range(3, 6)
+            for m in range(2, 5)
+            for seed in range(3)
+        ]
+        + list(_tie_games()),
+    )
+    def test_bound_lp_bounds_every_extension(self, game):
+        # the bound best_first puts on a prefix with nonempty interior: the
+        # optimistic value of every inducible profile extending it, and a
+        # full profile's max-min value, are at most its padded LP value
+        blocks = _Blocks(game)
+        n = len(game.followers)
+        best = {}  # prefix: the best optimistic value over its extensions
+        for combo, v in _optimistic(game, _flat_survivors(game)).items():
+            for k in range(n + 1):
+                best[combo[:k]] = max(best.get(combo[:k], -math.inf), v)
+        for prefix, v in best.items():
+            D, d0 = blocks.rows(prefix)
+            bound = plfe_exact._padded(plfe_exact._profile_lp(blocks, prefix, D, d0)[0])
+            assert v <= bound, prefix
+            if len(prefix) == n:
+                assert plfe_exact._max_min(blocks, prefix, D)[0] <= bound, prefix
 
     def test_margin_lp_budget(self, lp_calls):
         # a search of every prefix ran 5,490 margin LPs here; the bound
@@ -548,7 +587,7 @@ class TestBestFirst:
 
     @pytest.mark.parametrize("game", list(_tie_games()))
     def test_same_winner_as_solving_every_profile(self, game, monkeypatch):
-        flat = _flat_survivors(game)
+        flat = _optimistic(game, _flat_survivors(game))
         fast = [_solve_recorded(monkeypatch, game, solver, flat) for solver in _SOLVERS]
         monkeypatch.setattr(plfe_exact, "best_first", _solve_every_profile)
         monkeypatch.setattr(olfe_solver, "best_first", _solve_every_profile)
