@@ -547,10 +547,11 @@ class TestBestFirst:
         # bounds leave all but 2, 1 and 2 of them without a max-min LP.
         # OLFE's profile LPs include the bound LPs on prefixes
         g = random_oltpg(*args)
-        for solve, kind, cap in ((solve_plfe, "_max_min", 3), (solve_olfe, "_profile_lp", 40)):
+        for solve, kind in ((solve_plfe, "_max_min"), (solve_olfe, "_profile_lp")):
             lp_calls.clear()
             solve(g)
-            assert sum(name == kind for name, _, _ in lp_calls) <= cap, kind
+            assert sum(name == kind for name, _, _ in lp_calls) <= 40, kind
+            assert sum(name == "_max_min" for name, _, _ in lp_calls) <= 3
 
     @pytest.mark.parametrize(
         "game",
