@@ -59,8 +59,9 @@ def solve_olfe(game: PolymatrixGame, time_limit: float | None = None) -> LfeResu
     Searches prefixes of followers best bound first, pruning every prefix
     whose region is already empty, and solves the LP of each profile it
     reaches until no profile left can win (``best_first`` without a
-    ``solve``: the profile LP is both a full profile's bound and its solve). A time limit
-    truncates the search after it and flags the result as incomplete."""
+    ``solve``: the profile LP is both a full profile's bound and its
+    solve). A time limit truncates the search after it and flags the
+    result as incomplete."""
     blocks = _Blocks(game)
     results, inducible, processed, truncated = best_first(blocks, time_limit=time_limit)
     if not results:
