@@ -23,12 +23,11 @@ LP is its solve, so no profile's LP runs twice.
 
 from __future__ import annotations
 
-from .game_model import MixedStrategy, PolymatrixGame
+from .game_model import PolymatrixGame
 from .plfe_exact import (
     LfeResult,
     SolverFailure,
     _Blocks,
-    _profile_lp,
     best_first,
     contenders,
     within_simplex,
@@ -37,19 +36,6 @@ from .plfe_exact import (
 
 class NoPureCommitmentError(RuntimeError):
     """No commitment induces any pure follower equilibrium (general games)."""
-
-
-def olfe_profile_lp(
-    game: PolymatrixGame, profile: dict[int, int]
-) -> tuple[float, MixedStrategy] | None:
-    """Best commitment making the profile a weak pure NE, or None when the
-    profile cannot be induced by any commitment (or only on a knife edge
-    where a deviation with the same leader-edge payoffs gains at most
-    ``EPS_TOL``)."""
-    blocks = _Blocks(game)
-    combo = tuple(profile[p] for p in blocks.followers)
-    rows = blocks.rows(combo)
-    return None if rows is None else _profile_lp(blocks, combo, *rows)
 
 
 def solve_olfe(game: PolymatrixGame, time_limit: float | None = None) -> LfeResult:

@@ -22,14 +22,14 @@ that hurts the leader), an additive alpha-approximate strategy is computed
 instead of the unattainable exact one.
 
 The per-profile LPs take a profile as a ``combo``, its actions in
-``game.followers`` order, as the search yields it; only the public
-``(game, profile)`` helpers read a profile dict. ``_optimum`` reads every
-LP result, raising a ``SolverFailure`` that names the LP. ``contenders``
-is the winner rule of PLFE and OLFE: the results within ``VALUE_TIE_TOL``
-of the best, in lexicographic order. PLFE takes the first attained one,
-else the first; OLFE takes the first. ``best_first`` solves every profile
-that can be a contender and returns its results in lexicographic order, so
-the rule picks the profile it would pick among all of them.
+``game.followers`` order, as the search yields it; only ``find_apx`` reads a
+profile dict. ``_optimum`` reads every LP result, raising a ``SolverFailure``
+that names the LP. ``contenders`` is the winner rule of PLFE and OLFE: the
+results within ``VALUE_TIE_TOL`` of the best, in lexicographic order. PLFE
+takes the first attained one, else the first; OLFE takes the first.
+``best_first`` solves every profile that can be a contender and returns its
+results in lexicographic order, so the rule picks the profile it would pick
+among all of them.
 """
 
 from __future__ import annotations
@@ -102,11 +102,9 @@ class _Blocks:
         # ff[p]: (index j of q, U_pq, row maxima, row minima) per follower
         # neighbour q in followers order, U_pq indexed [a_p][a_q]
         self.ff: dict[int, list] = {}
-        # diff[p][a]: rows M[a] - M[a'] over non-tied a' (strict BR margins);
-        # tied[p][a]: a's tie class without a
+        # diff[p][a]: rows M[a] - M[a'] over non-tied a' (strict BR margins)
         self.tie_set: dict[int, list[list[int]]] = {}
         self.non_tied: dict[int, list[list[int]]] = {}
-        self.tied: dict[int, list[list[int]]] = {}
         self.diff: dict[int, list[np.ndarray]] = {}
         index = {q: j for j, q in enumerate(self.followers)}
         for p in self.followers:
@@ -123,7 +121,6 @@ class _Blocks:
                 classes.setdefault(row, []).append(a)
             self.tie_set[p] = [classes[row] for row in rows]
             self.non_tied[p] = [[b for b, other in enumerate(rows) if other != row] for row in rows]
-            self.tied[p] = [[a2 for a2 in t if a2 != a] for a, t in enumerate(self.tie_set[p])]
             self.diff[p] = [
                 M[a] - M[nt] if nt else np.zeros((0, self.m_n))
                 for a, nt in enumerate(self.non_tied[p])
@@ -141,7 +138,8 @@ class _Blocks:
         counts p's best payoff at a and her worst at a2, so it bounds d0 from
         above over every completion. None when a tied action a2 (no row: no
         commitment separates it from a) already rules a out: its bound is
-        negative or, once every neighbour is assigned, at most EPS_TOL."""
+        negative or, once every neighbour is assigned, at most EPS_TOL; a's
+        own bound is never negative, and exactly 0 once all are assigned."""
         p = self.followers[i]
         if not self.ff[p]:  # a one-level tree's follower: d0 is zero
             return self.diff[p][a], np.zeros(len(self.non_tied[p][a]))
@@ -155,7 +153,7 @@ class _Blocks:
                 hi += U_max[a]
                 lo += U_min
         d0 = hi - lo
-        tied = d0[self.tied[p][a]]
+        tied = d0[self.tie_set[p][a]]
         if (tied < 0).any() or (
             self.ff[p][-1][0] < len(combo) and ((tied > 0) & (tied <= EPS_TOL)).any()
         ):
@@ -271,17 +269,6 @@ def _emptiness(D: np.ndarray, d0: np.ndarray, m_n: int) -> tuple[float, np.ndarr
     return _margin(lp_core.maximize(*margin_lp(D, m_n, d0)), "emptiness", m_n)
 
 
-def emptiness_check(
-    game: PolymatrixGame, profile: dict[int, int]
-) -> tuple[float, MixedStrategy | None]:
-    """Max margin by which some commitment makes every profile action a
-    strict best response. Zero means the region has empty interior."""
-    blocks = _Blocks(game)
-    rows = blocks.rows(tuple(profile[p] for p in blocks.followers))
-    eps, s = (0.0, None) if rows is None else _emptiness(*rows, blocks.m_n)
-    return eps, None if s is None else MixedStrategy(game.leader, s)
-
-
 def _tie_rows(blocks: _Blocks, combo: tuple, ncols: int, v: int) -> np.ndarray:
     """Rows -L[p][a2] s + v+_i - v-_i <= 0 over each follower p, the i-th,
     and each a2 in the tie class of p's action in combo: v+_i - v-_i, the
@@ -345,43 +332,19 @@ def _tree_blocks(game: PolymatrixGame) -> _Blocks:
     return _Blocks(game)
 
 
-def _tree_rows(game: PolymatrixGame, profile: dict[int, int]) -> tuple[_Blocks, tuple, np.ndarray]:
-    """A tree game's blocks, the profile's combo and its stacked rows."""
-    blocks = _tree_blocks(game)
-    combo = tuple(profile[p] for p in blocks.followers)
-    return blocks, combo, blocks.rows(combo)[0]
-
-
-def solve_max_min(
-    game: PolymatrixGame, profile: dict[int, int]
-) -> tuple[float, MixedStrategy, dict[tuple[int, int], float]]:
-    return _max_min(*_tree_rows(game, profile))
-
-
-def _max_min(blocks: _Blocks, combo: tuple, D: np.ndarray):
-    lp, col = _maxmin_matrices(blocks, combo, D)
+def _max_min(blocks: _Blocks, combo: tuple, D: np.ndarray) -> tuple[float, MixedStrategy]:
+    """(value, strategy) of the profile's max-min LP."""
+    lp, _ = _maxmin_matrices(blocks, combo, D)
     x, value = _optimum(lp_core.maximize(*lp), "max-min")
-    zeta = {key: float(x[j]) for key, j in col.items()}
-    return float(value), MixedStrategy(blocks.game.leader, x[: blocks.m_n]), zeta
-
-
-def attainment_flag(
-    game: PolymatrixGame, profile: dict[int, int]
-) -> tuple[bool, dict[tuple[int, int], float]]:
-    """Robustified non-attainment flag.
-
-    Re-solves the max-min feasible set at (near-)optimal value, maximizing
-    total slack; the supremum is declared unattained only if some non-tied
-    action still has zero slack *and* it is strictly worse for the leader.
-    """
-    blocks, combo, D = _tree_rows(game, profile)
-    return _attainment(blocks, combo, D, _max_min(blocks, combo, D)[0])[:2]
+    return float(value), MixedStrategy(blocks.game.leader, x[: blocks.m_n])
 
 
 def _attainment(blocks: _Blocks, combo: tuple, D: np.ndarray, value: float):
-    """Returns (beta, zeta_max, witness strategy or None).
+    """(beta, witness strategy or None): beta declares the supremum
+    unattained when some non-tied action keeps zero slack on the optimal
+    face *and* is strictly worse for the leader.
 
-    Maximizes total slack over the optimal face (value held exactly; a
+    Maximizes total slack over that face (value held exactly; a
     relaxed retry only guards against rounding infeasibility — relaxing
     up front would let forced-zero slacks inflate proportionally to the
     relaxation and mask genuine non-attainment). That vertex can leave a
@@ -390,7 +353,7 @@ def _attainment(blocks: _Blocks, combo: tuple, D: np.ndarray, value: float):
     the face points found are averaged before the flag is read again."""
     (c, A_ub, b_ub, A_eq, b_eq), col = _maxmin_matrices(blocks, combo, D)
     if not col:
-        return False, {}, None
+        return False, None
     m_n = blocks.m_n
     ncols = len(c)
     c2 = np.zeros(ncols)
@@ -427,8 +390,7 @@ def _attainment(blocks: _Blocks, combo: tuple, D: np.ndarray, value: float):
     if len(points) > 1:
         x = np.mean(points, axis=0)
         pending = witnesses(x)
-    zeta_max = {key: float(x[j]) for key, j in col.items()}
-    return bool(pending), zeta_max, MixedStrategy(blocks.game.leader, x[:m_n])
+    return bool(pending), MixedStrategy(blocks.game.leader, x[:m_n])
 
 
 def _check_alpha(alpha: float) -> None:
@@ -449,7 +411,9 @@ def find_apx(
     and always None; it keeps the call form
     ``find_apx(game, profile, None, v_star, alpha)``."""
     _check_alpha(alpha)
-    return _find_apx(*_tree_rows(game, profile), v_star, alpha)
+    blocks = _tree_blocks(game)
+    combo = tuple(profile[p] for p in blocks.followers)
+    return _find_apx(blocks, combo, blocks.rows(combo)[0], v_star, alpha)
 
 
 def _find_apx(blocks: _Blocks, combo: tuple, D: np.ndarray, v_star: float, alpha: float):
@@ -615,7 +579,7 @@ def solve_plfe(
     _check_alpha(alpha)
 
     def work(combo, D, d0):
-        v, s, _ = _max_min(blocks, combo, D)
+        v, s = _max_min(blocks, combo, D)
         return v, combo, s
 
     results, survivors, processed, truncated = best_first(blocks, work, time_limit)
@@ -627,7 +591,7 @@ def solve_plfe(
 
     best = contenders(results)
     for v, combo, s in best:
-        beta, _, witness = _attainment(blocks, combo, blocks.rows(combo)[0], v)
+        beta, witness = _attainment(blocks, combo, blocks.rows(combo)[0], v)
         if not beta:
             # prefer the slack-maximized optimum: it keeps every non-tied
             # action strictly suboptimal wherever the face allows it

@@ -8,30 +8,34 @@ from polystack.game_model import (
     evaluate_commitment,
 )
 from polystack.instance_gen import CnfFormula, random_oltpg, sat_to_pg_olfe
-from polystack.olfe_solver import (
-    NoPureCommitmentError,
-    olfe_profile_lp,
-    solve_olfe,
-)
-from polystack.plfe_exact import solve_plfe
+from polystack.olfe_solver import NoPureCommitmentError, solve_olfe
+from polystack.plfe_exact import _Blocks, _profile_lp, solve_plfe
 
 from conftest import two_player_game
 
 
+def profile_lp(game, combo):
+    """(value, strategy) of the profile's optimistic LP: the best commitment
+    making it a weak pure NE; None when no commitment induces it."""
+    blocks = _Blocks(game)
+    rows = blocks.rows(combo)
+    return None if rows is None else _profile_lp(blocks, combo, *rows)
+
+
 class TestProfileLp:
     def test_feasible_profile(self, star3_game):
-        got = olfe_profile_lp(star3_game, {1: 0, 2: 1})
+        got = profile_lp(star3_game, (0, 1))
         assert got is not None
         value, s = got
         assert value >= 10.0 / 3 - 1e-9  # uniform commitment is feasible
 
     def test_dominated_action_infeasible(self):
         g = two_player_game([[5, 5], [0, 0]], [[1, 1], [9, 9]])
-        assert olfe_profile_lp(g, {1: 1}) is None
+        assert profile_lp(g, (1,)) is None
 
     def test_optimizes_leader_value(self):
         g = two_player_game([[1, 0], [0, 1]], [[4, 0], [0, 0]])
-        value, s = olfe_profile_lp(g, {1: 0})
+        value, s = profile_lp(g, (0,))
         assert value == pytest.approx(4.0)
         assert s.probs == pytest.approx([1.0, 0.0])
 

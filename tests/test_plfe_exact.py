@@ -21,11 +21,8 @@ from polystack.plfe_exact import (
     EPS_TOL,
     VALUE_TIE_TOL,
     _Blocks,
-    attainment_flag,
     best_first,
-    emptiness_check,
     find_apx,
-    solve_max_min,
     solve_plfe,
 )
 
@@ -65,31 +62,63 @@ class TestTieSets:
                 assert seen == list(range(4))
 
 
+def _margin(blocks, combo):
+    """(max margin, point) of the profile's margin LP; (0.0, None) when a
+    tied action rules the profile out. Zero means an empty interior."""
+    rows = blocks.rows(combo)
+    return (0.0, None) if rows is None else plfe_exact._emptiness(*rows, blocks.m_n)
+
+
+def _zeta(blocks, combo, D, s):
+    """The max-min LP's zeta values at s, one D row each, keyed by the
+    (follower, non-tied action) of ``_maxmin_matrices``'s zeta columns."""
+    keys = plfe_exact._maxmin_matrices(blocks, combo, D)[1]
+    return {key: float(D[row] @ s.probs) for row, key in enumerate(keys)}
+
+
+def _max_min(game, combo):
+    """(value, strategy, zeta at the strategy) of the profile's max-min LP."""
+    blocks = _Blocks(game)
+    D, _ = blocks.rows(combo)
+    v, s = plfe_exact._max_min(blocks, combo, D)
+    return v, s, _zeta(blocks, combo, D, s)
+
+
+def _attainment(game, combo):
+    """(beta, zeta at the witness) of ``_attainment`` at the profile's
+    max-min value."""
+    blocks = _Blocks(game)
+    D, _ = blocks.rows(combo)
+    v, _ = plfe_exact._max_min(blocks, combo, D)
+    beta, witness = plfe_exact._attainment(blocks, combo, D, v)
+    return beta, _zeta(blocks, combo, D, witness)
+
+
 class TestEmptinessCheck:
     def test_interior_profile_hits_cap(self, star3_game):
-        eps, witness = emptiness_check(star3_game, {1: 0, 2: 1})
+        eps, witness = _margin(_Blocks(star3_game), (0, 1))
         assert eps == pytest.approx(1.0)
         assert witness is not None
 
     def test_single_point_region(self):
         g = two_player_game([[1, 0], [0, 1], [0.5, 0.5]], [[0, 0]] * 3)
-        eps, _ = emptiness_check(g, {1: 2})
+        eps, _ = _margin(_Blocks(g), (2,))
         assert eps == pytest.approx(0.0, abs=1e-12)
 
     def test_fully_tied_profile_unconstrained(self):
         g = two_player_game([[1, 1], [1, 1]], [[0, 0], [0, 0]])
-        eps, _ = emptiness_check(g, {1: 0})
+        eps, _ = _margin(_Blocks(g), (0,))
         assert eps == pytest.approx(1.0)
 
 
 class TestMaxMin:
     def test_attained_case(self, plateau_game):
-        v, s, zeta = solve_max_min(plateau_game, {1: 0})
+        v, s, zeta = _max_min(plateau_game, (0,))
         assert v == pytest.approx(1.0)
         assert set(zeta) == {(1, 1)}
 
     def test_supremum_case(self, knife_edge_game):
-        v, s, zeta = solve_max_min(knife_edge_game, {1: 0})
+        v, s, zeta = _max_min(knife_edge_game, (0,))
         assert v == pytest.approx(0.5)
         assert s.probs == pytest.approx([0.5, 0.5])
         assert zeta[(1, 1)] == pytest.approx(0.0, abs=1e-12)
@@ -99,29 +128,30 @@ class TestMaxMin:
         # outside a row, so the LP used to end in SolverFailure; HiGHS
         # gives 362.53737652567656
         g = random_oltpg(7, 8, 1)
-        v, _, _ = solve_max_min(g, {1: 0, 2: 2, 3: 3, 4: 2, 5: 4, 6: 5})
+        assert g.followers == (1, 2, 3, 4, 5, 6)
+        v, _, _ = _max_min(g, (0, 2, 3, 2, 4, 5))
         assert v == 362.53737652567645
 
     def test_constant_tied_leader_payoffs(self):
         g = two_player_game([[1, 1], [1, 1]], [[3, 3], [3, 3]])
-        v, _, zeta = solve_max_min(g, {1: 0})
+        v, _, zeta = _max_min(g, (0,))
         assert v == pytest.approx(3.0)
         assert zeta == {}
 
 
 class TestAttainment:
     def test_knife_edge_not_attained(self, knife_edge_game):
-        beta, _ = attainment_flag(knife_edge_game, {1: 0})
+        beta, _ = _attainment(knife_edge_game, (0,))
         assert beta is True
 
     def test_plateau_attained_with_full_slack(self, plateau_game):
-        beta, zeta = attainment_flag(plateau_game, {1: 0})
+        beta, zeta = _attainment(plateau_game, (0,))
         assert beta is False
         assert zeta[(1, 1)] == pytest.approx(1.0)
 
     def test_no_nontied_actions(self):
         g = two_player_game([[1, 1], [1, 1]], [[3, 0], [0, 3]])
-        beta, zeta = attainment_flag(g, {1: 0})
+        beta, zeta = _attainment(g, (0,))
         assert beta is False and zeta == {}
 
 
@@ -271,14 +301,8 @@ class TestSolvePlfe:
 
     def test_helpers_reject_general_games(self):
         g = sat_to_pg_olfe(CnfFormula(3, ((1, 2, 3), (-1, 2, 3), (1, -2, -3))), 0.01)
-        profile = {p: 0 for p in g.followers}
-        for call in (
-            lambda: solve_max_min(g, profile),
-            lambda: attainment_flag(g, profile),
-            lambda: find_apx(g, profile, None, 1.0, 0.01),
-        ):
-            with pytest.raises(GameClassError):
-                call()
+        with pytest.raises(GameClassError):
+            find_apx(g, {p: 0 for p in g.followers}, None, 1.0, 0.01)
 
     def test_diagnostics_present(self, knife_edge_game):
         r = solve_plfe(knife_edge_game)
@@ -313,13 +337,13 @@ def _search_games():
 
 
 def _flat_survivors(game):
-    """Every profile, in lexicographic order, whose region the public
-    interior check finds full-dimensional."""
-    followers = game.followers
+    """Every profile, in lexicographic order, whose region the margin LP
+    over its stacked rows finds full-dimensional."""
+    blocks = _Blocks(game)
     return [
         combo
-        for combo in itertools.product(*[range(game.num_actions(p)) for p in followers])
-        if emptiness_check(game, dict(zip(followers, combo)))[0] > EPS_TOL
+        for combo in itertools.product(*[range(game.num_actions(p)) for p in game.followers])
+        if _margin(blocks, combo)[0] > EPS_TOL
     ]
 
 
@@ -408,7 +432,8 @@ _SOLVERS = {
 
 def _optimistic(game, combos):
     """{combo: its optimistic profile LP value} over the given profiles."""
-    return {c: olfe_solver.olfe_profile_lp(game, dict(zip(game.followers, c)))[0] for c in combos}
+    blocks = _Blocks(game)
+    return {c: plfe_exact._profile_lp(blocks, c, *blocks.rows(c))[0] for c in combos}
 
 
 def _solve_recorded(monkeypatch, game, solver, flat):
@@ -477,7 +502,7 @@ class TestSearchProfiles:
         actions = {p: tuple(f"a{j}" for j in range(m_p)) for p, m_p in sizes.items()}
         actions[4] = ("x", "y", "z")
         game = PolymatrixGame((1, 2, 3, 4), actions, 4, edges)
-        assert emptiness_check(game, {1: 2, 2: 0, 3: 0})[0] <= EPS_TOL
+        assert _margin(_Blocks(game), (2, 0, 0))[0] <= EPS_TOL
         for solve in (solve_plfe, solve_olfe):
             r = solve(game)
             assert r.profiles_enumerated == 36
