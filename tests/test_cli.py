@@ -483,6 +483,65 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["ok"] is True
 
+    # one follower whose actions tie for her; the leader gets 5 against a0
+    # and 0 against a1, so the optimistic value is 5 and the pessimistic
+    # supremum 0
+    TIED_GAME = {
+        "players": [{"id": 1, "actions": ["a0", "a1"]}, {"id": 2, "actions": ["x", "y"]}],
+        "leader": 2,
+        "edges": [{"p": 1, "q": 2, "payoff_p": [[1, 0], [1, 0]], "payoff_q": [[5, 5], [0, 0]]}],
+    }
+
+    def _verify_1d(self, capsys, tmp_path, game, mode, shift=0.0):
+        """Solves the game in mode, adds shift to the value and verifies it
+        against the 1d oracle: (exit code, solved value, supremum_1d check)."""
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(game))
+        code, solved = run_out(capsys, ["solve", "--mode", mode, str(path)])
+        assert code == 0
+        data = json.loads(solved)
+        data["value"] += shift
+        res = tmp_path / "r.json"
+        res.write_text(json.dumps(data))
+        code, out = run_out(capsys, ["verify", "--against", "1d", str(path), str(res)])
+        (check,) = [c for c in json.loads(out)["checks"] if c["check"] == "supremum_1d"]
+        return code, data["value"], check
+
+    @pytest.mark.parametrize("mode", ["optimistic", "pure-olfe"])
+    def test_1d_accepts_optimistic_value_above_supremum(self, capsys, tmp_path, mode):
+        code, value, check = self._verify_1d(capsys, tmp_path, self.TIED_GAME, mode)
+        assert (value, check["oracle_value"]) == (5, 0)
+        assert code == 0 and check["ok"] is True
+
+    def test_1d_rejects_optimistic_value_below_supremum(self, capsys, tmp_path):
+        code, value, check = self._verify_1d(capsys, tmp_path, self.TIED_GAME, "optimistic", -6.0)
+        assert value == -1
+        assert code == 1 and check["ok"] is False
+
+    def test_1d_accepts_apx_value_below_supremum(self, capsys, tmp_path):
+        game = game_to_json_dict(random_oltpg(5, 2, 0))
+        code, value, check = self._verify_1d(capsys, tmp_path, game, "apx")
+        assert value < check["oracle_value"] - 1.0
+        assert code == 0 and check["ok"] is True
+        code, _, check = self._verify_1d(capsys, tmp_path, game, "apx", check["oracle_value"] - value + 1.0)
+        assert code == 1 and check["ok"] is False
+
+    def test_1d_pessimistic_value_must_equal_supremum(self, capsys, tmp_path):
+        code, _, check = self._verify_1d(capsys, tmp_path, self.TIED_GAME, "pessimistic", -1.0)
+        assert code == 1 and check["ok"] is False
+
+    def test_unknown_mode_is_domain_error(self, capsys, game_file, tmp_path):
+        _, solved = run_out(capsys, ["solve", "--mode", "pessimistic", game_file])
+        data = json.loads(solved)
+        data["mode"] = "bogus"
+        res = tmp_path / "r.json"
+        res.write_text(json.dumps(data))
+        assert_domain_error(
+            capsys,
+            ["verify", "--against", "grid", "--resolution", "4", game_file, str(res)],
+            "unknown mode 'bogus'",
+        )
+
 
     @pytest.mark.parametrize("field", ["value", "alpha"])
     def test_non_numeric_field_is_domain_error(self, capsys, game_file, tmp_path, field):
