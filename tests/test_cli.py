@@ -513,9 +513,12 @@ class TestVerify:
         assert (value, check["oracle_value"]) == (5, 0)
         assert code == 0 and check["ok"] is True
 
-    def test_1d_rejects_optimistic_value_below_supremum(self, capsys, tmp_path):
-        code, value, check = self._verify_1d(capsys, tmp_path, self.TIED_GAME, "optimistic", -6.0)
-        assert value == -1
+    @pytest.mark.parametrize(
+        "mode,shift", [("optimistic", -6.0), ("pessimistic", -1.0), ("pessimistic", 1.0)]
+    )
+    def test_1d_rejects_value_past_supremum(self, capsys, tmp_path, mode, shift):
+        # an optimistic value below the supremum, a pessimistic one off it
+        code, _, check = self._verify_1d(capsys, tmp_path, self.TIED_GAME, mode, shift)
         assert code == 1 and check["ok"] is False
 
     def test_1d_accepts_apx_value_below_supremum(self, capsys, tmp_path):
@@ -524,10 +527,6 @@ class TestVerify:
         assert value < check["oracle_value"] - 1.0
         assert code == 0 and check["ok"] is True
         code, _, check = self._verify_1d(capsys, tmp_path, game, "apx", check["oracle_value"] - value + 1.0)
-        assert code == 1 and check["ok"] is False
-
-    def test_1d_pessimistic_value_must_equal_supremum(self, capsys, tmp_path):
-        code, _, check = self._verify_1d(capsys, tmp_path, self.TIED_GAME, "pessimistic", -1.0)
         assert code == 1 and check["ok"] is False
 
     def test_unknown_mode_is_domain_error(self, capsys, game_file, tmp_path):
