@@ -483,9 +483,9 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["ok"] is True
 
-    # one follower whose actions tie for her; the leader gets 5 against a0
-    # and 0 against a1, so the optimistic value is 5 and the pessimistic
-    # supremum 0
+    # one follower indifferent between its two actions; the leader gets 5
+    # against a0 and 0 against a1, so the optimistic value is 5 and the
+    # pessimistic supremum 0
     TIED_GAME = {
         "players": [{"id": 1, "actions": ["a0", "a1"]}, {"id": 2, "actions": ["x", "y"]}],
         "leader": 2,
@@ -526,7 +526,8 @@ class TestVerify:
         code, value, check = self._verify_1d(capsys, tmp_path, game, "apx")
         assert value < check["oracle_value"] - 1.0
         assert code == 0 and check["ok"] is True
-        code, _, check = self._verify_1d(capsys, tmp_path, game, "apx", check["oracle_value"] - value + 1.0)
+        above = check["oracle_value"] - value + 1.0
+        code, _, check = self._verify_1d(capsys, tmp_path, game, "apx", above)
         assert code == 1 and check["ok"] is False
 
     def test_unknown_mode_is_domain_error(self, capsys, game_file, tmp_path):
