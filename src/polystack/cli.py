@@ -278,30 +278,36 @@ def _cmd_verify(args) -> int:
     ok = True
 
     s = _checked_strategy(strategy, game)
+    try:
+        slack = 0.0 if result.get("attained", True) else float(result.get("alpha", 0.0))
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"result file has a non-numeric alpha: {exc}") from exc
     if game.is_one_level_tree():
-        try:
-            slack = 0.0 if result.get("attained", True) else float(result.get("alpha", 0.0))
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"result file has a non-numeric alpha: {exc}") from exc
         got, _ = evaluate_commitment(game, s, eval_mode)
         good = got >= value - slack - 1e-7
         checks.append({"check": "strategy_reevaluates", "ok": good, "evaluated": got})
         ok &= good
 
-    if args.against == "grid":
+    nonneg = all((game.leader_edge(p)[1] >= 0).all() for p in game.followers)
+    if args.against == "grid" and mode == "apx" and not nonneg:
+        # a negative leader payoff voids the approximation guarantee, the
+        # only bound the grid could check
+        checks.append({"check": "grid_apx_ratio", "ok": True, "guarantee_valid": False})
+    elif args.against == "grid":
         try:
             grid = oracles.grid_oracle(game, args.resolution, eval_mode)
         except ValueError as exc:
             raise DomainError(str(exc)) from exc
-        good = grid.value <= value + 1e-6
-        checks.append(
-            {
-                "check": "grid_lower_bound",
-                "ok": good,
-                "grid_value": grid.value,
-                "skipped_points": grid.skipped,
-            }
-        )
+        if mode == "apx":
+            # the grid value bounds only the optimum OPT, and with k
+            # followers an approximation's value v promises OPT <= k * v
+            k = len(game.followers)
+            good = grid.value <= k * (value + slack) + 1e-6
+            check = {"check": "grid_apx_ratio", "ok": good, "followers": k}
+        else:
+            good = grid.value <= value + 1e-6
+            check = {"check": "grid_lower_bound", "ok": good}
+        checks.append(dict(check, grid_value=grid.value, skipped_points=grid.skipped))
         ok &= good
     else:
         try:

@@ -8,15 +8,17 @@ flags read slack values off whichever optimum is returned.
 
 The one entry point is ``maximize``: a dense LP over nonnegative variables
 with inequality and equality rows, returning a vertex optimum. Every LP
-takes one path, one without rows too. Its tableau has one row per
-constraint and the columns ``[x | slacks | artificials | rhs]``: a slack
-per inequality row, an artificial per equality row and per row flipped to
-``>=`` by a negative right-hand side. The basis is an int array holding
-one column per row. Artificials start the phase-1 basis but never enter
-it. The ratio test reads only rows with a positive entry in the entering
-column. The phase-2 objective is reduced one basic row at a time, in row
-order, since a matrix product sums in another order and would move the
-last bits of the returned vertex.
+takes one path, one without rows too. Its tableau has a row per
+constraint, then row ``m`` holding the phase's objective, and the columns
+``[x | slacks | artificials | rhs]``: a slack per inequality row, an
+artificial per equality row and per row negated (exactly) to ``>=`` by a
+negative right-hand side. The basis is an int array holding one column per
+row. Artificials start the phase-1 basis but never enter it. The ratio
+test reads only rows with a positive entry in the entering column. The
+vertex's last bits depend on the order of float operations, which is kept:
+a pivot updates row ``m`` by the same products and subtractions as the
+other rows; the phase-1 objective sums the artificial rows and the phase-2
+one is reduced by one basic row at a time, both in row order.
 """
 
 from __future__ import annotations
@@ -45,16 +47,17 @@ class DenseResult:
     objective: float | None = None
 
 
-def _pivot(T, obj, basis, r, j):
-    T[r] /= T[r, j]
+def _pivot(T, basis, r, j):
+    """Pivot on ``T[r, j]``, updating the objective row with the others."""
+    row = T[r]
+    row /= row[j]
     col = T[:, j].copy()
     col[r] = 0.0
-    T -= col[:, None] * T[r]
-    obj -= obj[j] * T[r]
+    T -= np.multiply.outer(col, row)
     basis[r] = j
 
 
-def _run_phase(T, obj, basis, ncols, max_iter):
+def _run_phase(T, basis, ncols, max_iter):
     """Pivot until no column before ``ncols`` has positive reduced cost.
 
     ``ncols`` is the index of the first artificial column: in both phases
@@ -63,24 +66,25 @@ def _run_phase(T, obj, basis, ncols, max_iter):
     pivots to rule out cycling, and fails after ``max_iter + 1``. Leaving
     row breaks ratio ties on the smallest basic-variable index.
     """
+    red, rhs = T[-1, :ncols], T[:-1, -1]  # views, updated by each pivot
     for it in range(max_iter + 1):
-        red = obj[:ncols]
         if it < max_iter // 2:
-            j = int(np.argmax(red))
+            j = red.argmax()
             if red[j] <= _ENTER_TOL:
                 return "optimal"
         else:
-            cand = np.nonzero(red > _ENTER_TOL)[0]
-            if cand.size == 0:
+            cand = (red > _ENTER_TOL).nonzero()[0]
+            if not cand.size:
                 return "optimal"
-            j = int(cand[0])
-        rows = np.nonzero(T[:, j] > _PIVOT_TOL)[0]
-        if rows.size == 0:
+            j = cand[0]
+        col = T[:-1, j]
+        rows = (col > _PIVOT_TOL).nonzero()[0]
+        if not rows.size:
             return "unbounded"
-        ratios = T[rows, -1] / T[rows, j]
-        tied = rows[ratios <= ratios.min() + 1e-12]
-        r = int(tied[np.argmin(basis[tied])])
-        _pivot(T, obj, basis, r, j)
+        ratios = rhs[rows] / col[rows]
+        tied = rows[ratios <= np.minimum.reduce(ratios) + 1e-12]
+        r = tied[0] if tied.size == 1 else tied[basis[tied].argmin()]
+        _pivot(T, basis, r, j)
     return "failed"
 
 
@@ -99,59 +103,56 @@ def maximize(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> DenseResult:
     n = c.shape[0]
     A_ub, b_ub = _rows(A_ub, b_ub, n)
     A_eq, b_eq = _rows(A_eq, b_eq, n)
-    m = len(b_ub) + len(b_eq)
+    k, m = len(b_ub), len(b_ub) + len(b_eq)
 
-    # rows with a negative right-hand side are flipped; <= rows become >=
-    b = np.concatenate((b_ub, b_eq))
-    sign = np.where(b < 0, -1, 1)
-    rel = np.repeat([1, 0], (len(b_ub), len(b_eq))) * sign  # +1: <=, 0: ==, -1: >=
-
-    slack_rows = np.nonzero(rel)[0]
-    art_rows = np.nonzero(rel != 1)[0]
-    art_start = n + len(slack_rows)
+    # rows with a negative right-hand side are negated; <= rows become >=
+    flip = (b_ub < 0).nonzero()[0]
+    art_rows = np.concatenate((flip, np.arange(k, m)))
+    art_start = n + k
     ncols = art_start + len(art_rows)
-    slack_cols = np.arange(n, art_start)
     art_cols = np.arange(art_start, ncols)
 
     def tableau():
-        T = np.zeros((m, ncols + 1))
-        T[:, :n] = np.vstack((A_ub, A_eq)) * sign[:, None]
-        T[:, -1] = b * sign
-        T[slack_rows, slack_cols] = rel[slack_rows]
+        T = np.zeros((m + 1, ncols + 1))
+        T[:k, :n], T[k:m, :n] = A_ub, A_eq
+        T[:k, -1], T[k:m, -1] = b_ub, b_eq
+        neg = (T[:m, -1] < 0).nonzero()[0]
+        T[neg, :n] = -T[neg, :n]
+        T[neg, -1] = -T[neg, -1]
+        T[:k, n:art_start] = np.eye(k)
+        T[flip, n + flip] = -1.0
         T[art_rows, art_cols] = 1.0
         return T
 
     T = tableau()
-    basis = np.empty(m, dtype=int)
-    basis[slack_rows] = slack_cols
-    basis[art_rows] = art_cols  # a >= row starts on its artificial
-
+    basis = np.arange(n, n + m)  # a <= row's slack is column n + row
+    basis[art_rows] = art_cols  # a >= or == row starts on its artificial
     max_iter = 200 * (m + ncols)
+    obj = T[-1]
 
     # phase 1: maximize minus the sum of artificials
     if len(art_rows):
-        obj = T[art_rows].sum(axis=0)
+        obj[:] = T[art_rows].sum(axis=0)
         obj[art_start:ncols] = 0.0
-        if _run_phase(T, obj, basis, art_start, max_iter) == "failed":
+        if _run_phase(T, basis, art_start, max_iter) == "failed":
             return DenseResult(LpStatus.FAILED)
-        if sum(T[basis >= art_start, -1]) > 1e-8:
+        if sum(T[:-1, -1][basis >= art_start]) > 1e-8:
             return DenseResult(LpStatus.INFEASIBLE)
-        # drive residual artificials out of the basis (degenerate rows);
-        # these pivots also update obj, which is not read again
-        for i in np.nonzero(basis >= art_start)[0]:
-            nz = np.nonzero(np.abs(T[i, :art_start]) > _PIVOT_TOL)[0]
+        # drive residual artificials out (degenerate rows); obj is not read
+        for i in (basis >= art_start).nonzero()[0]:
+            nz = (np.abs(T[i, :art_start]) > _PIVOT_TOL).nonzero()[0]
             if nz.size:
-                _pivot(T, obj, basis, i, int(nz[0]))
+                _pivot(T, basis, i, nz[0])
             else:
                 T[i, :] = 0.0  # redundant constraint
 
     # phase 2, reduced row by row (see the module docstring)
-    obj = np.zeros(ncols + 1)
+    obj[:] = 0.0
     obj[:n] = c
     for i, j in enumerate(basis.tolist()):
         if j < art_start and obj[j] != 0.0:
             obj -= obj[j] * T[i]
-    status = _run_phase(T, obj, basis, art_start, max_iter)
+    status = _run_phase(T, basis, art_start, max_iter)
     if status != "optimal":
         return DenseResult(LpStatus(status))  # unbounded or failed
 
@@ -160,14 +161,13 @@ def maximize(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> DenseResult:
                 or (np.abs(A_eq @ xs - b_eq) > _FEAS_TOL).any())
 
     x = np.zeros(ncols)
-    x[basis] = T[:, -1]
-    # independent feasibility re-check. The tableau is never refactorized,
-    # so a vertex that rounding pushed off the rows is solved afresh from
-    # the original rows with the final basis, then checked once more.
+    x[basis] = T[:-1, -1]
+    # independent re-check: the tableau is never refactorized, so a vertex
+    # pushed off the rows by rounding is solved afresh from them and checked
     if infeasible(x[:n]):
         T = tableau()
         try:
-            x[basis] = np.linalg.solve(T[:, basis], T[:, -1])
+            x[basis] = np.linalg.solve(T[:-1, basis], T[:-1, -1])
         except np.linalg.LinAlgError:  # singular basis
             return DenseResult(LpStatus.FAILED)
         if infeasible(x[:n]):

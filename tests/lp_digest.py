@@ -2,13 +2,15 @@
 
 Run from the repository root with ``PYTHONPATH=src python tests/lp_digest.py``.
 It prints the number of games, the number of ``lp_core.maximize`` calls
-with their count per calling function (the LP kinds of ``test_lp_kinds``), a
-sha256 over every call's inputs, status, ``x`` bytes and ``repr`` of its
-objective, and a sha256 over every ``solve`` exit code, stdout and stderr.
-A change meant to keep every LP and every output bit-for-bit prints the
-same line before and after. A change that skips LPs, such as a tighter
-search, moves ``calls`` and ``lp``, but must never move ``cli``;
-``test_lp_digest`` pins it. The games: ``random_oltpg`` n 3-5 x m 2-4 x
+with their count per calling function (the LP kinds of ``test_lp_kinds``),
+the number of simplex pivots, a sha256 over every call's inputs, status,
+``x`` bytes and ``repr`` of its objective, and a sha256 over every
+``solve`` exit code, stdout and stderr. Pivots are counted by wrapping
+``lp_core._pivot``, as ``perfbench/spans.py`` does. A change meant to keep
+every LP and every output bit-for-bit prints the same line before and
+after. A change that skips LPs, such as a tighter search, moves ``calls``
+and ``lp``, and one that starts LPs nearer their optimum moves
+``pivots``, but neither may move ``cli``; ``test_lp_digest`` pins it. The games: ``random_oltpg`` n 3-5 x m 2-4 x
 seeds 0-2 in both kinds, in all four tree modes; every game of
 ``test_golden`` in its stored modes; and ``pure-olfe`` on
 ``test_plfe_exact._general_game(0..5)``. pytest does not collect this file.
@@ -53,10 +55,17 @@ def _arg_bytes(a) -> bytes:
 
 def digest():
     """(number of games, ``maximize`` calls per calling function, sha256 hex
-    of every LP, sha256 hex of every ``solve`` output) over ``games()``."""
+    of every LP, sha256 hex of every ``solve`` output, number of pivots)
+    over ``games()``."""
     lp_hash, cli_hash = hashlib.sha256(), hashlib.sha256()
     callers = collections.Counter()
-    maximize = lp_core.maximize
+    maximize, pivot = lp_core.maximize, lp_core._pivot
+    pivots = 0
+
+    def counted(*args):
+        nonlocal pivots
+        pivots += 1
+        pivot(*args)
 
     def recorded(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
         callers[sys._getframe(1).f_code.co_name] += 1
@@ -67,7 +76,7 @@ def digest():
         lp_hash.update(f"{res.status.value};{res.objective!r};".encode() + x + b"|")
         return res
 
-    lp_core.maximize = recorded
+    lp_core.maximize, lp_core._pivot = recorded, counted
     count = 0
     try:
         with tempfile.TemporaryDirectory() as tmp:
@@ -79,14 +88,14 @@ def digest():
                     code, out, err = _run(["solve", "--mode", mode, str(path)])
                     cli_hash.update(f"{code}\0{out}\0{err}\0".encode())
     finally:
-        lp_core.maximize = maximize
-    return count, callers, lp_hash.hexdigest(), cli_hash.hexdigest()
+        lp_core.maximize, lp_core._pivot = maximize, pivot
+    return count, callers, lp_hash.hexdigest(), cli_hash.hexdigest(), pivots
 
 
 def main():
-    count, callers, lp, cli = digest()
+    count, callers, lp, cli, pivots = digest()
     kinds = " ".join(f"{name}={n}" for name, n in sorted(callers.items()))
-    print(f"games {count} calls {sum(callers.values())} ({kinds}) lp {lp} cli {cli}")
+    print(f"games {count} calls {sum(callers.values())} ({kinds}) pivots {pivots} lp {lp} cli {cli}")
 
 
 if __name__ == "__main__":

@@ -492,9 +492,9 @@ class TestVerify:
         "edges": [{"p": 1, "q": 2, "payoff_p": [[1, 0], [1, 0]], "payoff_q": [[5, 5], [0, 0]]}],
     }
 
-    def _verify_1d(self, capsys, tmp_path, game, mode, shift=0.0):
+    def _verify(self, capsys, tmp_path, game, mode, shift=0.0, against=("1d",)):
         """Solves the game in mode, adds shift to the value and verifies it
-        against the 1d oracle: (exit code, solved value, supremum_1d check)."""
+        against an oracle: (exit code, solved value, the oracle's check)."""
         path = tmp_path / "g.json"
         path.write_text(json.dumps(game))
         code, solved = run_out(capsys, ["solve", "--mode", mode, str(path)])
@@ -503,13 +503,13 @@ class TestVerify:
         data["value"] += shift
         res = tmp_path / "r.json"
         res.write_text(json.dumps(data))
-        code, out = run_out(capsys, ["verify", "--against", "1d", str(path), str(res)])
-        (check,) = [c for c in json.loads(out)["checks"] if c["check"] == "supremum_1d"]
+        code, out = run_out(capsys, ["verify", "--against", *against, str(path), str(res)])
+        (check,) = [c for c in json.loads(out)["checks"] if c["check"] != "strategy_reevaluates"]
         return code, data["value"], check
 
     @pytest.mark.parametrize("mode", ["optimistic", "pure-olfe"])
     def test_1d_accepts_optimistic_value_above_supremum(self, capsys, tmp_path, mode):
-        code, value, check = self._verify_1d(capsys, tmp_path, self.TIED_GAME, mode)
+        code, value, check = self._verify(capsys, tmp_path, self.TIED_GAME, mode)
         assert (value, check["oracle_value"]) == (5, 0)
         assert code == 0 and check["ok"] is True
 
@@ -518,17 +518,37 @@ class TestVerify:
     )
     def test_1d_rejects_value_past_supremum(self, capsys, tmp_path, mode, shift):
         # an optimistic value below the supremum, a pessimistic one off it
-        code, _, check = self._verify_1d(capsys, tmp_path, self.TIED_GAME, mode, shift)
+        code, _, check = self._verify(capsys, tmp_path, self.TIED_GAME, mode, shift)
         assert code == 1 and check["ok"] is False
 
     def test_1d_accepts_apx_value_below_supremum(self, capsys, tmp_path):
         game = game_to_json_dict(random_oltpg(5, 2, 0))
-        code, value, check = self._verify_1d(capsys, tmp_path, game, "apx")
+        code, value, check = self._verify(capsys, tmp_path, game, "apx")
         assert value < check["oracle_value"] - 1.0
         assert code == 0 and check["ok"] is True
         above = check["oracle_value"] - value + 1.0
-        code, _, check = self._verify_1d(capsys, tmp_path, game, "apx", above)
+        code, _, check = self._verify(capsys, tmp_path, game, "apx", above)
         assert code == 1 and check["ok"] is False
+
+    def test_grid_checks_apx_ratio_not_optimum(self, capsys, tmp_path):
+        # the grid value bounds the optimum, which a correct approximation's
+        # value times the follower count bounds in turn
+        game = game_to_json_dict(random_oltpg(5, 2, 0))
+        grid = ("grid", "--resolution", "6")
+        code, value, check = self._verify(capsys, tmp_path, game, "apx", against=grid)
+        assert check["check"] == "grid_apx_ratio" and check["followers"] == 4
+        assert check["grid_value"] > value + 1.0
+        assert code == 0 and check["ok"] is True
+        below = check["grid_value"] / 4 - value - 1.0
+        code, _, check = self._verify(capsys, tmp_path, game, "apx", below, grid)
+        assert code == 1 and check["ok"] is False
+
+    def test_grid_compares_nothing_when_apx_guarantee_is_void(self, capsys, tmp_path):
+        game = game_to_json_dict(random_oltpg(3, 3, 0, lo=-100.0))
+        grid = ("grid", "--resolution", "4")
+        code, _, check = self._verify(capsys, tmp_path, game, "apx", -1e3, grid)
+        assert check == {"check": "grid_apx_ratio", "ok": True, "guarantee_valid": False}
+        assert code == 0
 
     def test_unknown_mode_is_domain_error(self, capsys, game_file, tmp_path):
         _, solved = run_out(capsys, ["solve", "--mode", "pessimistic", game_file])

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -9,7 +11,23 @@ from polystack.lp_core import LpStatus, maximize
 from polystack.olfe_solver import solve_olfe
 from polystack.plfe_exact import solve_plfe
 
+import lp_reference
 from test_golden import _rounded_tree
+
+
+@pytest.fixture
+def pivots(monkeypatch):
+    """Counts the calls of ``lp_core._pivot`` in ``pivots[0]``, wrapping it
+    as ``perfbench/spans.py`` does to count pivots."""
+    count = [0]
+    pivot = lp_core._pivot
+
+    def counted(*args):
+        count[0] += 1
+        pivot(*args)
+
+    monkeypatch.setattr(lp_core, "_pivot", counted)
+    return count
 
 
 def test_simple_bounded():
@@ -37,7 +55,7 @@ def test_rowless_lp_without_positive_cost_is_zero():
     assert (res.x == 0.0).all()
 
 
-def test_eps_margin_program():
+def test_eps_margin_program(pivots):
     # max eps s.t. eps <= s1 - s2, s1 + s2 = 1, s >= 0, eps <= 1
     c = np.array([0.0, 0.0, 1.0])
     A_ub = [[-1.0, 1.0, 1.0], [0.0, 0.0, 1.0]]
@@ -47,6 +65,7 @@ def test_eps_margin_program():
     assert res.status is LpStatus.OPTIMAL
     assert res.objective == pytest.approx(1.0)
     assert res.x[:2] == pytest.approx([1.0, 0.0])
+    assert pivots[0] > 0  # every pivot goes through the module's _pivot
 
 
 def test_equality_constraints():
@@ -103,17 +122,9 @@ def test_determinism():
     assert (r1.x == r2.x).all()
 
 
-def test_bland_fallback_ends_beale_cycle(monkeypatch):
+def test_bland_fallback_ends_beale_cycle(pivots):
     # Beale's LP cycles under Dantzig's rule; only the switch to Bland's rule
     # after max_iter // 2 pivots reaches the optimum
-    pivots = []
-    pivot = lp_core._pivot
-
-    def counted(*args):
-        pivots.append(args[3:])
-        pivot(*args)
-
-    monkeypatch.setattr(lp_core, "_pivot", counted)
     c = [0.75, -20.0, 0.5, -6.0]
     A_ub = [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]]
     res = maximize(c, A_ub, [0.0, 0.0, 1.0])
@@ -121,7 +132,7 @@ def test_bland_fallback_ends_beale_cycle(monkeypatch):
     assert res.objective == pytest.approx(1.25)
     assert res.x == pytest.approx([1.0, 0.0, 1.0, 0.0])
     max_iter = 200 * (3 + 4 + 3)  # rows + structural and slack columns
-    assert len(pivots) > max_iter // 2
+    assert pivots[0] > max_iter // 2
 
 
 def test_arguments_are_not_written():
@@ -141,15 +152,19 @@ def test_arguments_are_not_written():
     assert res.x == pytest.approx([2.0, 0.5])
 
 
-def test_solver_lps_match_highs(lp_calls):
-    # every LP that PLFE, OLFE and apx run on four random trees and a tree
-    # with tied rows, and that pure-olfe runs on a 3-clause SAT game
+def _run_solvers():
+    """Runs PLFE, OLFE and apx on four random trees and a tree with tied
+    rows, and pure-olfe on a 3-clause SAT game."""
     trees = [random_oltpg(n, m, seed) for n, m, seed in ((4, 6, 0), (5, 4, 0), (3, 8, 1), (6, 4, 0))]
     for game in trees + [_rounded_tree()]:
         solve_plfe(game)
         solve_olfe(game)
         solve_plfe_apx(game)
     solve_olfe(sat_to_pg_olfe(CnfFormula(3, ((1, 2, 3), (-1, 2, 3), (1, -2, -3))), 0.01))
+
+
+def test_solver_lps_match_highs(lp_calls):
+    _run_solvers()
     assert {res.status for _, _, res in lp_calls} == {LpStatus.OPTIMAL, LpStatus.INFEASIBLE}
     statuses = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}
     tol = lp_core._FEAS_TOL
@@ -204,3 +219,38 @@ def test_degenerate_random_lps_match_highs():
         if res.status is LpStatus.OPTIMAL:
             assert abs(res.objective + ref.fun) <= 1e-9 * max(1.0, abs(ref.fun)), i
     assert seen == set(statuses.values())
+
+
+def _assert_same_as_reference(got, args, i):
+    """``got``, the result of ``maximize(*args)``, has the status, ``x``
+    bytes and objective ``repr`` of ``lp_reference.maximize(*args)``."""
+
+    def bits(res):
+        return res.status, None if res.x is None else res.x.tobytes(), repr(res.objective)
+
+    assert bits(got) == bits(lp_reference.maximize(*args)), i
+
+
+def test_degenerate_random_lps_match_reference():
+    # the LPs of test_degenerate_random_lps_match_highs, bit for bit
+    rng = np.random.default_rng(20181)
+    for i in range(200):
+        args = _degenerate_lp(rng)
+        _assert_same_as_reference(maximize(*args), args, i)
+
+
+def test_gaussian_lps_match_reference():
+    # three LPs of each shape with 1-6 columns, 0-6 inequality and 0-2
+    # equality rows, every entry standard normal: about half the rows have a
+    # negative right-hand side and are negated, at every small tableau width
+    rng = np.random.default_rng(0)
+    shapes = itertools.product(range(1, 7), range(7), range(3), range(3))
+    for i, (n, k, e, _) in enumerate(shapes):
+        args = [rng.normal(size=s) for s in (n, (k, n), k, (e, n), e)]
+        _assert_same_as_reference(maximize(*args), args, i)
+
+
+def test_solver_lps_match_reference(lp_calls):
+    _run_solvers()
+    for i, (_, args, res) in enumerate(lp_calls):
+        _assert_same_as_reference(res, args, i)
