@@ -263,13 +263,15 @@ def _cmd_generate(args) -> int:
 def _cmd_verify(args) -> int:
     game = _load_solvable_game(args.game)
     result = _read_json(args.result)
+    if not isinstance(result, dict):
+        raise DomainError("result file is not a solve output: expected a JSON object")
     try:
-        mode = result["mode"]
-        value = float(result["value"])
-        strategy = result["strategy"]
-    except (KeyError, TypeError) as exc:
+        mode, value, strategy = result["mode"], result["value"], result["strategy"]
+    except KeyError as exc:
         raise DomainError(f"result file is not a solve output: missing {exc}") from exc
-    except ValueError as exc:
+    try:
+        value = float(value)
+    except (TypeError, ValueError) as exc:
         raise DomainError(f"result file has a non-numeric value: {exc}") from exc
     if mode not in MODES:
         raise DomainError(f"result file has an unknown mode {mode!r}")
@@ -278,8 +280,11 @@ def _cmd_verify(args) -> int:
     ok = True
 
     s = _checked_strategy(strategy, game)
+    attained = result.get("attained", True)
+    if not isinstance(attained, bool):
+        raise DomainError(f"result file has a non-boolean attained: {attained!r}")
     try:
-        slack = 0.0 if result.get("attained", True) else float(result.get("alpha", 0.0))
+        slack = 0.0 if attained else float(result.get("alpha", 0.0))
     except (TypeError, ValueError) as exc:
         raise DomainError(f"result file has a non-numeric alpha: {exc}") from exc
     if game.is_one_level_tree():

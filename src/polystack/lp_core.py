@@ -10,15 +10,16 @@ The one entry point is ``maximize``: a dense LP over nonnegative variables
 with inequality and equality rows, returning a vertex optimum. Every LP
 takes one path, one without rows too. Its tableau has a row per
 constraint, then row ``m`` holding the phase's objective, and the columns
-``[x | slacks | artificials | rhs]``: a slack per inequality row, an
-artificial per equality row and per row negated (exactly) to ``>=`` by a
-negative right-hand side. The basis is an int array holding one column per
-row. Artificials start the phase-1 basis but never enter it. The ratio
-test reads only rows with a positive entry in the entering column. The
-vertex's last bits depend on the order of float operations, which is kept:
-a pivot updates row ``m`` by the same products and subtractions as the
-other rows; the phase-1 objective sums the artificial rows and the phase-2
-one is reduced by one basic row at a time, both in row order.
+``[x | slacks | rhs]``, a slack per inequality row. An equality row, or a
+row negated (exactly) to ``>=`` by a negative right-hand side, starts the
+phase-1 basis on an artificial: a label after the slacks' that never
+enters, so only the re-check builds its unit column. The basis is an int
+array of one label per row. The ratio test reads only rows with a positive
+entry in the entering column. The vertex's last bits depend on the order
+of float operations, which is kept: a pivot updates row ``m`` by the same
+products and subtractions as the other rows; the phase-1 objective sums
+the artificial rows and the phase-2 one is reduced by one basic row at a
+time, both in row order.
 """
 
 from __future__ import annotations
@@ -57,16 +58,14 @@ def _pivot(T, basis, r, j):
     basis[r] = j
 
 
-def _run_phase(T, basis, ncols, max_iter):
-    """Pivot until no column before ``ncols`` has positive reduced cost.
-
-    ``ncols`` is the index of the first artificial column: in both phases
-    only ``x`` and slack columns may enter. Dantzig entering rule with
+def _run_phase(T, basis, max_iter):
+    """Pivot until no column of ``T``, ``[x | slacks | rhs]``, has positive
+    reduced cost; an artificial is a basis label that never enters, and
+    only the re-check builds its unit column. Dantzig entering rule with
     first-index tie-break; falls back to Bland's rule after ``max_iter // 2``
     pivots to rule out cycling, and fails after ``max_iter + 1``. Leaving
-    row breaks ratio ties on the smallest basic-variable index.
-    """
-    red, rhs = T[-1, :ncols], T[:-1, -1]  # views, updated by each pivot
+    row breaks ratio ties on the smallest basic-variable index."""
+    red, rhs = T[-1, :-1], T[:-1, -1]  # views, updated by each pivot
     for it in range(max_iter + 1):
         if it < max_iter // 2:
             j = red.argmax()
@@ -108,12 +107,11 @@ def maximize(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> DenseResult:
     # rows with a negative right-hand side are negated; <= rows become >=
     flip = (b_ub < 0).nonzero()[0]
     art_rows = np.concatenate((flip, np.arange(k, m)))
-    art_start = n + k
-    ncols = art_start + len(art_rows)
-    art_cols = np.arange(art_start, ncols)
+    art_start = n + k  # the first artificial's label
+    ncols = art_start + len(art_rows)  # every label, artificials included
 
     def tableau():
-        T = np.zeros((m + 1, ncols + 1))
+        T = np.zeros((m + 1, art_start + 1))
         T[:k, :n], T[k:m, :n] = A_ub, A_eq
         T[:k, -1], T[k:m, -1] = b_ub, b_eq
         neg = (T[:m, -1] < 0).nonzero()[0]
@@ -121,26 +119,24 @@ def maximize(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> DenseResult:
         T[neg, -1] = -T[neg, -1]
         T[:k, n:art_start] = np.eye(k)
         T[flip, n + flip] = -1.0
-        T[art_rows, art_cols] = 1.0
         return T
 
     T = tableau()
     basis = np.arange(n, n + m)  # a <= row's slack is column n + row
-    basis[art_rows] = art_cols  # a >= or == row starts on its artificial
+    basis[art_rows] = np.arange(art_start, ncols)  # a >= or == row starts on its artificial
     max_iter = 200 * (m + ncols)
     obj = T[-1]
 
     # phase 1: maximize minus the sum of artificials
     if len(art_rows):
         obj[:] = T[art_rows].sum(axis=0)
-        obj[art_start:ncols] = 0.0
-        if _run_phase(T, basis, art_start, max_iter) == "failed":
+        if _run_phase(T, basis, max_iter) == "failed":
             return DenseResult(LpStatus.FAILED)
         if sum(T[:-1, -1][basis >= art_start]) > 1e-8:
             return DenseResult(LpStatus.INFEASIBLE)
         # drive residual artificials out (degenerate rows); obj is not read
         for i in (basis >= art_start).nonzero()[0]:
-            nz = (np.abs(T[i, :art_start]) > _PIVOT_TOL).nonzero()[0]
+            nz = (np.abs(T[i, :-1]) > _PIVOT_TOL).nonzero()[0]
             if nz.size:
                 _pivot(T, basis, i, nz[0])
             else:
@@ -152,7 +148,7 @@ def maximize(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> DenseResult:
     for i, j in enumerate(basis.tolist()):
         if j < art_start and obj[j] != 0.0:
             obj -= obj[j] * T[i]
-    status = _run_phase(T, basis, art_start, max_iter)
+    status = _run_phase(T, basis, max_iter)
     if status != "optimal":
         return DenseResult(LpStatus(status))  # unbounded or failed
 
@@ -165,9 +161,10 @@ def maximize(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> DenseResult:
     # independent re-check: the tableau is never refactorized, so a vertex
     # pushed off the rows by rounding is solved afresh from them and checked
     if infeasible(x[:n]):
-        T = tableau()
+        T = tableau()[:-1]
+        cols = np.hstack((T[:, :-1], np.eye(m)[:, art_rows]))  # an artificial's is a unit column
         try:
-            x[basis] = np.linalg.solve(T[:-1, basis], T[:-1, -1])
+            x[basis] = np.linalg.solve(cols[:, basis], T[:, -1])
         except np.linalg.LinAlgError:  # singular basis
             return DenseResult(LpStatus.FAILED)
         if infeasible(x[:n]):

@@ -563,19 +563,47 @@ class TestVerify:
         )
 
 
-    @pytest.mark.parametrize("field", ["value", "alpha"])
-    def test_non_numeric_field_is_domain_error(self, capsys, game_file, tmp_path, field):
+    @pytest.mark.parametrize(
+        "field,bad,message",
+        [
+            pytest.param("value", "abc", "has a non-numeric value: could not", id="value"),
+            pytest.param("alpha", "abc", "has a non-numeric alpha: could not", id="alpha"),
+            pytest.param("value", None, "has a non-numeric value: float()", id="null-value"),
+            pytest.param("attained", "no", "has a non-boolean attained: 'no'", id="attained"),
+        ],
+    )
+    def test_non_numeric_field_is_domain_error(
+        self, capsys, game_file, tmp_path, field, bad, message
+    ):
         _, solved = run_out(capsys, ["solve", "--mode", "pessimistic", game_file])
         data = json.loads(solved)
         data["attained"] = False  # verify reads alpha only for an unattained supremum
-        data[field] = "abc"
+        data[field] = bad
         res = tmp_path / "r.json"
         res.write_text(json.dumps(data))
         code = run(["verify", "--against", "grid", "--resolution", "4", game_file, str(res)])
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: result file has a non-numeric")
+        assert captured.err.startswith(f"error: result file {message}")
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            pytest.param("[1, 2, 3]", "expected a JSON object", id="list"),
+            pytest.param('{"value": 1.0, "strategy": []}', "missing 'mode'", id="no-mode"),
+        ],
+    )
+    def test_result_not_a_solve_output_is_domain_error(
+        self, capsys, game_file, tmp_path, text, message
+    ):
+        res = tmp_path / "r.json"
+        res.write_text(text)
+        assert_domain_error(
+            capsys,
+            ["verify", "--against", "grid", "--resolution", "4", game_file, str(res)],
+            f"result file is not a solve output: {message}",
+        )
 
     def test_invalid_strategy_is_domain_error(self, capsys, game_file, tmp_path):
         _, solved = run_out(capsys, ["solve", "--mode", "pessimistic", game_file])

@@ -87,6 +87,28 @@ def test_degenerate_redundant_rows():
     assert res.objective == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("module", [lp_core, lp_reference], ids=["lp_core", "lp_reference"])
+def test_drifted_vertex_with_basic_artificial_is_solved_afresh(monkeypatch, module):
+    # the duplicated equality row leaves an artificial basic on a zeroed
+    # row; every pivot then nudges its row's right-hand side, so the vertex
+    # leaves the rows and is solved afresh with that artificial's unit column
+    pivot = module._pivot
+
+    def drifted(*args):
+        pivot(*args)
+        args[0][args[-2], -1] += 1e-6  # T[r, -1] in both signatures
+
+    monkeypatch.setattr(module, "_pivot", drifted)
+    solved, solve = [], np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda B, rhs: solved.append(B.tolist()) or solve(B, rhs))
+    res = module.maximize([1.0, 2.0], [[1.0, 0.0]], [2.0], [[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0])
+    # one re-solve; the basis's last label is the artificial of the third row
+    assert solved == [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 1.0]]]
+    assert res.status is LpStatus.OPTIMAL
+    assert res.x.tobytes() == np.array([0.0, 1.0]).tobytes()
+    assert repr(res.objective) == "2.0"
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_matches_scipy_on_random_lps(seed):
     rng = np.random.default_rng(seed)
