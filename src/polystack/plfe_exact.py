@@ -26,14 +26,15 @@ The per-profile LPs take a profile as a ``combo``, its actions in
 profile dict. ``_optimum`` reads every LP result, raising a ``SolverFailure``
 that names the LP. ``contenders`` is the winner rule of PLFE and OLFE: the
 results within ``VALUE_TIE_TOL`` of the best, in lexicographic order. PLFE
-takes the first attained one, else the first; OLFE takes the first.
-``best_first`` solves every profile that can be a contender and returns its
-results in lexicographic order, so the rule picks the profile it would pick
-among all of them.
+takes the first attained one, else the first (``_finish``, shared with apx);
+OLFE takes the first. ``best_first`` solves every profile that can be a
+contender and returns its results in lexicographic order, so the rule picks
+the profile it would pick among all of them.
 """
 
 from __future__ import annotations
 
+import copy
 import heapq
 import math
 import time
@@ -59,12 +60,12 @@ class LfeResult:
     ``strategy``, the follower ``profile`` it induces, whether the value is
     ``attained`` (else ``strategy`` is within ``alpha`` of it), whether the
     search ran to the end (``anytime_complete``), the profiles it covered
-    (``profiles_enumerated``) and the ``diagnostics`` ``perfbench/spans.py``
-    reads: ``survivors`` from PLFE, ``inducible_profiles`` from OLFE, none from apx.
-    Both count the profiles the search reached and proved inducible, each
-    solved by one LP; profiles whose bound cannot win are never reached.
-    PLFE counts only the profiles its LP bounds left to a max-min LP: on
-    trees without ties in value, typically the winner and at most one more."""
+    (``profiles_enumerated``; apx: in its winning subgame, the only one it finishes) and
+    the ``diagnostics`` ``perfbench/spans.py`` reads: ``survivors`` from PLFE,
+    ``inducible_profiles`` from OLFE, none from apx. Both count the profiles the search
+    reached and proved inducible, each solved by one LP; profiles whose bound cannot win
+    are never reached. PLFE counts only the profiles its LP bounds left to a max-min LP:
+    on trees without ties in value, typically the winner and at most one more."""
 
     value: float
     strategy: MixedStrategy
@@ -131,6 +132,13 @@ class _Blocks:
         for p in reversed(self.followers):
             self.tail.insert(0, self.L[p].max(axis=0) + self.tail[0])
         self._prefilter: dict[tuple[int, int], tuple[float, np.ndarray | None]] = {}
+
+    def single(self, p: int) -> _Blocks:
+        """Follower p's subgame of a one-level tree: the same rows, searched with p alone."""
+        view = copy.copy(self)
+        view.followers, view._prefilter = (p,), {}
+        view.tail = [self.L[p].max(axis=0) + self.tail[-1], self.tail[-1]]
+        return view
 
     def _follower_rows(self, i: int, combo: tuple, a: int):
         """Rows (D, d0) of the i-th follower p playing a, given the actions
@@ -208,20 +216,23 @@ class _Blocks:
         given an interior point s of its parent prefix's region (None while
         no follower so far has a row); None when the interior is empty, and
         then so is that of every profile extending combo."""
-        k = len(combo) - 1
-        eps, s_a = self.prefilter(k, combo[k])
-        if eps <= EPS_TOL:
-            return None
         rows = self.rows(combo)
         if rows is None:
             return None
         D, d0 = rows
-        if s is None:
-            s = s_a
-        # s is feasible for the joint margin LP, whose optimum is therefore
-        # at least s's smallest margin: no LP needed when that is clear
-        if not len(D) or (D @ s + d0).min() > 2 * EPS_TOL:
+
+        def clears(point):
+            # a point clearing every margin is feasible for the joint margin LP:
+            # no LP is needed, not even the prefilter's, whose region holds combo's
+            return not len(D) or (D @ point + d0).min() > 2 * EPS_TOL
+
+        if s is not None and clears(s):
             return D, d0, s
+        eps, s_a = self.prefilter(len(combo) - 1, combo[-1])
+        if eps <= EPS_TOL:
+            return None
+        if s is None and clears(s_a):
+            return D, d0, s_a
         eps, s = _emptiness(D, d0, self.m_n)
         return None if eps <= EPS_TOL else (D, d0, s)
 
@@ -560,6 +571,46 @@ def best_first(blocks: _Blocks, solve=None, time_limit: float | None = None):
     return [result for _, result in results], found, covered, truncated
 
 
+def _search(blocks: _Blocks, time_limit: float | None = None):
+    """PLFE's search: ``best_first`` with max-min LPs, its results narrowed to ``contenders``."""
+
+    def work(combo, D, d0):
+        v, s = _max_min(blocks, combo, D)
+        return v, combo, s
+
+    results, *counts = best_first(blocks, work, time_limit)
+    if not results:
+        raise SolverFailure(
+            "no follower profile has a full-dimensional best-response region; "
+            "the leader simplex must be covered, so this is a solver defect"
+        )
+    return contenders(results), *counts
+
+
+def _first_attained(blocks: _Blocks, best: list, tried: list) -> int | None:
+    """Index of the first contender in ``best`` whose supremum is attained, or
+    None; ``tried`` holds, and gains, the contenders' ``_attainment`` results."""
+    for i, (v, combo, _) in enumerate(best):
+        if i == len(tried):
+            tried.append(_attainment(blocks, combo, blocks.rows(combo)[0], v))
+        if not tried[i][0]:
+            return i
+    return None
+
+
+def _finish(blocks: _Blocks, best: list, alpha: float, tried: list):
+    """PLFE's finish over the contenders ``best``: (value, combo, strategy,
+    attained) of the first attained one, else of the first, alpha-approximated."""
+    i = _first_attained(blocks, best, tried)
+    if i is None:
+        v, combo, _ = best[0]
+        return v, combo, _find_apx(blocks, combo, blocks.rows(combo)[0], v, alpha), False
+    # prefer the slack-maximized optimum: it keeps every non-tied
+    # action strictly suboptimal wherever the face allows it
+    v, combo, s = best[i]
+    return v, combo, s if tried[i][1] is None else tried[i][1], True
+
+
 def solve_plfe(
     game: PolymatrixGame,
     alpha: float = 1e-6,
@@ -577,34 +628,13 @@ def solve_plfe(
     """
     blocks = _tree_blocks(game)
     _check_alpha(alpha)
-
-    def work(combo, D, d0):
-        v, s = _max_min(blocks, combo, D)
-        return v, combo, s
-
-    results, survivors, processed, truncated = best_first(blocks, work, time_limit)
-    if not results:
-        raise SolverFailure(
-            "no follower profile has a full-dimensional best-response region; "
-            "the leader simplex must be covered, so this is a solver defect"
-        )
-
-    best = contenders(results)
-    for v, combo, s in best:
-        beta, witness = _attainment(blocks, combo, blocks.rows(combo)[0], v)
-        if not beta:
-            # prefer the slack-maximized optimum: it keeps every non-tied
-            # action strictly suboptimal wherever the face allows it
-            strategy = witness if witness is not None else s
-            break
-    else:
-        v, combo, s = best[0]
-        strategy = _find_apx(blocks, combo, blocks.rows(combo)[0], v, alpha)
+    best, survivors, processed, truncated = _search(blocks, time_limit)
+    v, combo, strategy, attained = _finish(blocks, best, alpha, [])
     return LfeResult(
         value=float(v),
         strategy=within_simplex(strategy),
         profile=dict(zip(blocks.followers, combo)),
-        attained=not beta,
+        attained=attained,
         alpha=alpha,
         anytime_complete=not truncated,
         profiles_enumerated=processed,
