@@ -51,7 +51,7 @@ def _tied_contenders_game(c):
         3,
         {
             (1, 3): (br, np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 1 - 5e-10]])),
-            (2, 3): (br, np.full((2, 3), [[c], [0.0]])),
+            (2, 3): (br, np.array([[c, c, c], [0.0, 0.0, 0.0]])),
         },
     )
 
