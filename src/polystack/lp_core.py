@@ -115,10 +115,12 @@ def maximize(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> DenseResult:
         T[:k, :n], T[k:m, :n] = A_ub, A_eq
         T[:k, -1], T[k:m, -1] = b_ub, b_eq
         neg = (T[:m, -1] < 0).nonzero()[0]
-        T[neg, :n] = -T[neg, :n]
-        T[neg, -1] = -T[neg, -1]
+        if neg.size:  # fancy-index writes cost microseconds even when empty
+            T[neg, :n] = -T[neg, :n]
+            T[neg, -1] = -T[neg, -1]
         T[:k, n:art_start] = np.eye(k)
-        T[flip, n + flip] = -1.0
+        if flip.size:
+            T[flip, n + flip] = -1.0
         return T
 
     T = tableau()

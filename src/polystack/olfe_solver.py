@@ -15,10 +15,12 @@ also depend on her follower neighbours' actions; a prefix of followers
 bounds that dependence over every completion, so an empty prefix region
 still cuts off its subtree. A prefix's upper bound on the value of every
 profile extending it orders the search, which stops once no prefix left
-can win. Where it can cut, that bound is the profile LP itself
+can win. Where it can cut, that bound is the value of the profile LP
 (``plfe_exact._profile_lp``) over the prefix's closed region, with each
-unassigned follower's best leader payoff in the objective; a full profile's
-LP is its solve, so no profile's LP runs twice.
+unassigned follower's best leader payoff in the objective, read from the
+LP's dual, which starts at a feasible basis and needs no phase 1. A full
+profile's LP is its solve, the primal whose vertex is the strategy, so no
+profile's LP runs twice.
 """
 
 from __future__ import annotations

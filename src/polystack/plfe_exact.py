@@ -21,6 +21,14 @@ a supremum rather than a maximum (some follower can tie with an action
 that hurts the leader), an additive alpha-approximate strategy is computed
 instead of the unattainable exact one.
 
+Neither search LP runs phase 1. A margin LP (the prefilter's
+``_strict_eps_lp`` and a node's ``_emptiness``) starts at its best pure
+leader strategy, whose margin is read off the rows (``_pure_start``), and
+needs no LP at all when that strategy clears every row by the cap. The
+bound reads only a value, so ``_profile_lp`` takes it from its dual, whose
+slack basis is feasible. Only the winner's max-min, attainment and
+``find_apx`` vertices reach the output, so these forms change no answer.
+
 The per-profile LPs take a profile as a ``combo``, its actions in
 ``game.followers`` order, as the search yields it; only ``find_apx`` reads a
 profile dict. ``_optimum`` reads every LP result, raising a ``SolverFailure``
@@ -215,7 +223,10 @@ class _Blocks:
         """Rows (D, d0) and an interior point of the prefix combo's region,
         given an interior point s of its parent prefix's region (None while
         no follower so far has a row); None when the interior is empty, and
-        then so is that of every profile extending combo."""
+        then so is that of every profile extending combo. The point is the
+        first that clears every margin: the parent's, the prefilter's, or
+        that of the margin LP (``_emptiness``), which starts at the best pure
+        leader strategy, so it needs no phase 1 and is often that vertex."""
         rows = self.rows(combo)
         if rows is None:
             return None
@@ -239,7 +250,9 @@ class _Blocks:
 
 def margin_lp(D: np.ndarray, m_n: int, d0: np.ndarray):
     """Arguments of ``lp_core.maximize`` for the margin LP over (s, eps):
-    max eps s.t. D s - eps >= -d0, eps <= 1, sum s = 1, s >= 0."""
+    max eps s.t. D s - eps >= -d0, eps <= 1, sum s = 1, s >= 0. Only
+    ``_find_apx`` solves it in this form; the search's margin LPs solve it
+    from a pure leader strategy (``_pure_start``)."""
     k = D.shape[0]
     c = np.zeros(m_n + 1)
     c[-1] = 1.0
@@ -265,19 +278,60 @@ def _optimum(res: lp_core.DenseResult, lp: str, detail: str = "", infeasible: bo
     return res.x, res.objective
 
 
-def _margin(res: lp_core.DenseResult, lp: str, m_n: int) -> tuple[float, np.ndarray | None]:
-    """(max margin, point) of a margin LP; (0.0, None) if even eps = 0 is infeasible."""
-    got = _optimum(res, lp, infeasible=True)
-    return (0.0, None) if got is None else (float(got[1]), got[0][:m_n])
+def _pure_start(D: np.ndarray, d0: np.ndarray, m_n: int):
+    """The margin LP of ``margin_lp`` started at its best pure leader
+    strategy: (mu, j, lp). On the simplex D s + d0 = G s with G = D +
+    d0[:, None], so pure strategy e_j clears every row by mu_j = min_i
+    G[i, j]; j is the first index of the largest, mu that largest (1.0 with
+    no rows). ``lp`` is None when mu >= 1 reaches the cap. Else it is the
+    arguments of ``lp_core.maximize`` over (s_l for l != j, e'), with s_j =
+    1 - sum s_l and eps = mu + e':
+    sum_l (G[i, j] - G[i, l]) s_l + e' <= G[i, j] - mu, e' <= 1 - mu and
+    sum s_l <= 1. Every row is <= with a nonnegative right-hand side, so the
+    slack basis (s = e_j, eps = mu) is feasible and phase 1 never runs."""
+    if not len(D):
+        return 1.0, 0, None
+    G = D + d0[:, None]
+    mus = G.min(axis=0)
+    j = int(mus.argmax())
+    mu = float(mus[j])
+    if mu >= 1.0:
+        return 1.0, j, None
+    k = len(G)
+    A_ub = np.zeros((k + 2, m_n))
+    A_ub[:k, :-1] = G[:, j, None] - np.delete(G, j, axis=1)
+    A_ub[:k, -1] = 1.0
+    A_ub[k, -1] = 1.0
+    A_ub[k + 1, :-1] = 1.0
+    b_ub = np.concatenate((G[:, j] - mu, [1.0 - mu, 1.0]))
+    c = np.zeros(m_n)
+    c[-1] = 1.0
+    return mu, j, (c, A_ub, b_ub)
+
+
+def _margin(mu: float, j: int, res: lp_core.DenseResult | None, lp: str, m_n: int):
+    """(max margin eps, point) of a margin LP from ``_pure_start``'s (mu, j)
+    and its result, None when it needed no LP; (0.0, None) when eps <= 0."""
+    if res is None:
+        e, x = 0.0, np.zeros(m_n - 1)
+    else:
+        x, e = _optimum(res, lp)
+        x = x[:-1]
+    eps = mu + float(e)
+    if eps <= 0.0:
+        return 0.0, None
+    return eps, np.insert(x, j, 1.0 - x.sum())
 
 
 def _strict_eps_lp(D: np.ndarray, d0: np.ndarray, m_n: int) -> tuple[float, np.ndarray | None]:
-    return _margin(lp_core.maximize(*margin_lp(D, m_n, d0)), "interior-check", m_n)
+    mu, j, lp = _pure_start(D, d0, m_n)
+    return _margin(mu, j, lp and lp_core.maximize(*lp), "interior-check", m_n)
 
 
 def _emptiness(D: np.ndarray, d0: np.ndarray, m_n: int) -> tuple[float, np.ndarray | None]:
     """The margin LP over the stacked rows (D, d0) of a profile or prefix."""
-    return _margin(lp_core.maximize(*margin_lp(D, m_n, d0)), "emptiness", m_n)
+    mu, j, lp = _pure_start(D, d0, m_n)
+    return _margin(mu, j, lp and lp_core.maximize(*lp), "emptiness", m_n)
 
 
 def _tie_rows(blocks: _Blocks, combo: tuple, ncols: int, v: int) -> np.ndarray:
@@ -472,7 +526,7 @@ def _padded(bound: float) -> float:
     return bound + 1e-7 * max(1.0, abs(bound))
 
 
-def _profile_lp(blocks: _Blocks, combo: tuple, D: np.ndarray, d0: np.ndarray):
+def _profile_lp(blocks: _Blocks, combo: tuple, D: np.ndarray, d0: np.ndarray, bound: bool = False):
     """max (sum of L[p][a_p] over the prefix combo + ``tail``[len(combo)]) s
     over the closed region D s + d0 >= 0 of the simplex: (value, strategy),
     or None when the region is empty. For a full profile the tail is zero
@@ -480,10 +534,28 @@ def _profile_lp(blocks: _Blocks, combo: tuple, D: np.ndarray, d0: np.ndarray):
     making the profile a weak pure equilibrium. For any prefix it bounds
     that LP and the max-min LP of every profile extending the prefix:
     their regions lie in its closed region, and each follower's term in
-    either is at most L[p][a_p] s, at most (max_a L[p][a]) s entrywise."""
+    either is at most L[p][a_p] s, at most (max_a L[p][a]) s entrywise.
+
+    With ``bound``, for a caller that reads only the value, it is (value,
+    None) of the dual: with G = D + d0[:, None] the region is G s >= 0, and
+    the value is min over y >= 0 of max_j (c + G^T y)_j. Written as W - v
+    with W = max_j c_j, this is max v s.t. (G^T y)_j + v <= W - c_j over
+    y, v >= 0: every right-hand side is nonnegative, so the slack basis is
+    feasible and phase 1 never runs, and every feasible point bounds the
+    value. An unbounded v means the region is empty."""
     c = blocks.tail[len(combo)].copy()
     for p, a in zip(blocks.followers, combo):
         c += blocks.L[p][a]
+    if bound:
+        top = c.max()
+        A_ub = np.ones((blocks.m_n, len(D) + 1))
+        A_ub[:, :-1] = (D + d0[:, None]).T
+        cost = np.zeros(len(D) + 1)
+        cost[-1] = 1.0
+        res = lp_core.maximize(cost, A_ub, top - c)
+        if res.status is lp_core.LpStatus.UNBOUNDED:
+            return None
+        return float(top - _optimum(res, "profile bound")[1]), None
     A_eq = np.ones((1, blocks.m_n))
     got = _optimum(lp_core.maximize(c, -D, d0, A_eq, [1.0]), "optimistic profile", infeasible=True)
     return None if got is None else (float(got[1]), MixedStrategy(blocks.game.leader, got[0]))
@@ -508,8 +580,11 @@ def best_first(blocks: _Blocks, solve=None, time_limit: float | None = None):
     the best value by more than ``_tie_margin``, so that a tighter bound can
     cut it, ``_profile_lp`` bounds it over its closed region: it goes back
     on the heap keyed by the lower of its key and that bound, ``_padded``
-    for LP error. A full profile is bounded so too when there is a
-    ``solve``; without one its bound is its result. Otherwise, or when it
+    for LP error. Only that value is read, so the bound comes from the
+    dual (``bound=True``), which starts feasible and needs no phase 1; any
+    of its feasible points bounds the value. A full profile is bounded so
+    too when there is a ``solve``; without one its bound is its result, from
+    the primal, whose vertex is the strategy. Otherwise, or when it
     pops again, a full profile is solved and a prefix's children join the
     heap, keyed by the lower of ``_Blocks.bound`` and the prefix's key.
 
@@ -548,7 +623,7 @@ def best_first(blocks: _Blocks, solve=None, time_limit: float | None = None):
                 continue
             can_cut = results and key > best + _tie_margin(best)
             if can_cut and (solve is not None or depth < len(sizes)):
-                got = _profile_lp(blocks, combo, *node[:2])
+                got = _profile_lp(blocks, combo, *node[:2], bound=True)
                 if got is not None:
                     key = min(key, _padded(got[0]))
                 heapq.heappush(heap, (-key, combo, s, node))

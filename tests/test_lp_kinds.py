@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from polystack.apx_solver import solve_plfe_apx
-from polystack.instance_gen import CnfFormula, clique_to_spg, sat_to_pg_olfe
+from polystack.instance_gen import CnfFormula, clique_to_spg, random_oltpg, sat_to_pg_olfe
 from polystack.olfe_solver import solve_olfe
 from polystack.oracles import Graph
 from polystack.plfe_exact import solve_plfe
@@ -37,9 +37,10 @@ def lp_kinds() -> dict:
 
 def test_every_maximize_caller_is_a_named_kind(lp_calls, knife_edge_game):
     # knife edge: unattained supremum; rounded tree: tied rows, unattained;
-    # clique P4: a star game
+    # clique P4: a star game; random_oltpg(5, 6, 1): the search bounds
+    # prefixes and full profiles by the dual bound LP
     p4 = clique_to_spg(Graph(4, ((1, 2), (2, 3), (3, 4))))
-    for game in (knife_edge_game, _rounded_tree(), p4):
+    for game in (knife_edge_game, _rounded_tree(), p4, random_oltpg(5, 6, 1)):
         solve_plfe(game)
         solve_olfe(game)
         solve_plfe_apx(game)

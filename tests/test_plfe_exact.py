@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from polystack import olfe_solver, plfe_exact
+from polystack.apx_solver import solve_plfe_apx
 from polystack.bayesian_bridge import BayesianGame, FollowerType, bg_to_polymatrix
 from polystack.game_model import GameClassError, MixedStrategy, PolymatrixGame, evaluate_commitment
 from polystack.instance_gen import (
@@ -448,8 +449,8 @@ def _solve_recorded(monkeypatch, game, solver, flat):
     lp = getattr(plfe_exact, name)
     solved, values = [], []
 
-    def recorded(blocks, combo, *args):
-        got = lp(blocks, combo, *args)
+    def recorded(blocks, combo, *args, **kwargs):
+        got = lp(blocks, combo, *args, **kwargs)
         if len(combo) == len(blocks.followers):  # not a prefix's bound LP
             solved.append(combo)
             if got is not None:
@@ -600,10 +601,11 @@ class TestBestFirst:
                 best[combo[:k]] = max(best.get(combo[:k], -math.inf), v)
         for prefix, v in best.items():
             D, d0 = blocks.rows(prefix)
-            bound = plfe_exact._padded(plfe_exact._profile_lp(blocks, prefix, D, d0)[0])
-            assert v <= bound, prefix
-            if len(prefix) == n:
-                assert plfe_exact._max_min(blocks, prefix, D)[0] <= bound, prefix
+            for form in (False, True):  # the primal, and the dual best_first reads
+                bound = plfe_exact._padded(plfe_exact._profile_lp(blocks, prefix, D, d0, form)[0])
+                assert v <= bound, (prefix, form)
+                if len(prefix) == n:
+                    assert plfe_exact._max_min(blocks, prefix, D)[0] <= bound, (prefix, form)
 
     def test_margin_lp_budget(self, lp_calls):
         # a search of every prefix ran 5,490 margin LPs here; the bound
@@ -659,3 +661,73 @@ class TestBestFirst:
         for solve in (solve_plfe, solve_olfe):
             r = solve(game, time_limit=60.0)
             assert r.profiles_enumerated == 6**4 and r.anytime_complete
+
+
+def _search_lp_games(group):
+    """(game, solvers) of one group of the search-LP differential test."""
+    trees = (solve_plfe, solve_olfe, solve_plfe_apx)
+    if group == "random":
+        for n in range(3, 7):
+            for m in range(2, 6):
+                for seed in range(3):
+                    yield random_oltpg(n, m, seed), trees
+    elif group == "ties":
+        for param in _tie_games():
+            yield param.values[0], trees
+    elif group == "bayes":
+        for seed in range(5):
+            yield _bayesian_game(seed), trees
+    else:
+        for seed in range(6):
+            yield _general_game(seed), (solve_olfe,)
+
+
+class TestSearchLpForms:
+    """The search's margin LPs start at a pure leader strategy and its bound
+    LPs are dual, both without phase 1: each must agree with the form it
+    replaced, ``margin_lp`` and the primal ``_profile_lp``."""
+
+    @pytest.mark.parametrize("group", ["random", "ties", "bayes", "general"])
+    def test_match_phase_one_forms(self, group, lp_calls, monkeypatch):
+        margins, bounds = [], []
+
+        def recording(name, log):
+            lp = getattr(plfe_exact, name)
+
+            def recorded(*args, **kwargs):
+                start = len(lp_calls)
+                got = lp(*args, **kwargs)
+                if name != "_profile_lp" or kwargs.get("bound"):
+                    log.append((args, got, lp_calls[start:]))
+                return got
+
+            monkeypatch.setattr(plfe_exact, name, recorded)
+
+        recording("_strict_eps_lp", margins)
+        recording("_emptiness", margins)
+        recording("_profile_lp", bounds)
+        for game, solvers in _search_lp_games(group):
+            for solve in solvers:
+                try:
+                    solve(game)
+                except NoPureCommitmentError:
+                    pass
+        monkeypatch.undo()  # lp_calls' maximize too: the reference LPs go unrecorded
+        assert margins and (bounds or group == "general")
+        for _, _, calls in margins + bounds:
+            for _, (_, _, b_ub, A_eq, _), _ in calls:  # no phase 1
+                assert A_eq is None and (b_ub >= 0).all()
+        for (D, d0, m_n), (eps, s), _ in margins:
+            ref = maximize(*plfe_exact.margin_lp(D, m_n, d0))
+            old = ref.objective if ref.status is LpStatus.OPTIMAL else 0.0
+            assert (eps > EPS_TOL) == (old > EPS_TOL)
+            assert abs(eps - old) <= 1e-9
+            if s is not None:
+                assert s.min() >= -1e-12 and abs(s.sum() - 1.0) <= 1e-12
+                if len(D):
+                    assert (D @ s + d0).min() >= eps - 1e-9
+        for (blocks, combo, D, d0), got, _ in bounds:
+            ref = plfe_exact._profile_lp(blocks, combo, D, d0)
+            assert (got is None) == (ref is None)
+            if got is not None:
+                assert abs(got[0] - ref[0]) <= 1e-9 * max(1.0, abs(ref[0]))
