@@ -287,6 +287,8 @@ def _cmd_verify(args) -> int:
         slack = 0.0 if attained else float(result.get("alpha", 0.0))
     except (TypeError, ValueError) as exc:
         raise DomainError(f"result file has a non-numeric alpha: {exc}") from exc
+    if not attained and not 0 < slack < float("inf"):
+        raise DomainError(f"result file alpha must be positive and finite, got {slack!r}")
     if game.is_one_level_tree():
         got, _ = evaluate_commitment(game, s, eval_mode)
         good = got >= value - slack - 1e-7
@@ -449,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--against", required=True, choices=["grid", "1d"])
     p.add_argument("--resolution", type=int, default=8)
     p.add_argument("game")
-    p.add_argument("result")
+    p.add_argument("result", help="solve output; a huge finite alpha is a valid but vacuous claim")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bench", help="runtime scaling benchmark, CSV on stdout")

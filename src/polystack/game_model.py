@@ -311,13 +311,20 @@ def game_to_json_dict(game: PolymatrixGame) -> dict:
     }
 
 
+def json_int(x, what: str) -> int:
+    """x when it is a JSON integer, not a bool; else raises ValueError naming what."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def game_from_json_dict(data: dict) -> tuple[PolymatrixGame, dict[int, int] | None]:
     """Parse a game; returns (game, renumbering) where renumbering maps
     original ids to canonical ids (players 1..n, leader = n) or None when
     the input is already canonical."""
     try:
         players = data["players"]
-        leader = int(data["leader"])
+        leader = json_int(data["leader"], "leader")
         raw_edges = data["edges"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed game JSON: missing {exc}") from exc
@@ -326,7 +333,7 @@ def game_from_json_dict(data: dict) -> tuple[PolymatrixGame, dict[int, int] | No
     ids, labels = [], []
     for i, pl in enumerate(players):
         try:
-            ids.append(int(pl["id"]))
+            ids.append(json_int(pl["id"], "id"))
             labels.append(tuple(str(a) for a in pl["actions"]))
         except KeyError as exc:
             raise ValueError(f"malformed player {i}: missing {exc}") from exc
@@ -351,7 +358,7 @@ def game_from_json_dict(data: dict) -> tuple[PolymatrixGame, dict[int, int] | No
     edges = {}
     for i, e in enumerate(raw_edges):
         try:
-            ends = [int(e["p"]), int(e["q"])]
+            ends = [json_int(e[end], f"edge {i} end {end}") for end in "pq"]
             mp = np.array(e["payoff_p"], dtype=float)
             mq = np.array(e["payoff_q"], dtype=float)
         except (KeyError, TypeError) as exc:

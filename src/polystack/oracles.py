@@ -20,6 +20,7 @@ from .game_model import (
     PolymatrixGame,
     enumerate_pure_ne,
     evaluate_commitment,
+    json_int,
 )
 
 _GRID_GUARD = 10_000_000
@@ -230,7 +231,8 @@ class Graph:
 
 def graph_from_json_dict(data: dict) -> Graph:
     try:
-        return Graph(int(data["vertices"]), tuple((int(a), int(b)) for a, b in data["edges"]))
+        ends = [(json_int(a, "edge end"), json_int(b, "edge end")) for a, b in data["edges"]]
+        return Graph(json_int(data["vertices"], "vertices"), tuple(ends))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed graph JSON: {exc}") from exc
 

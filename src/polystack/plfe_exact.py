@@ -21,6 +21,7 @@ a supremum rather than a maximum (some follower can tie with an action
 that hurts the leader), an additive alpha-approximate strategy is computed
 instead of the unattainable exact one.
 
+One rule decides every node, the root included (``_Blocks.extend``).
 Neither search LP runs phase 1. A margin LP (the prefilter's
 ``_strict_eps_lp`` and a node's ``_emptiness``) starts at its best pure
 leader strategy, whose margin is read off the rows (``_pure_start``), and
@@ -144,7 +145,7 @@ class _Blocks:
     def single(self, p: int) -> _Blocks:
         """Follower p's subgame of a one-level tree: the same rows, searched with p alone."""
         view = copy.copy(self)
-        view.followers, view._prefilter = (p,), {}
+        view.followers = (p,)
         view.tail = [self.L[p].max(axis=0) + self.tail[-1], self.tail[-1]]
         return view
 
@@ -204,46 +205,33 @@ class _Blocks:
             payoff += self.L[p][a]
         return (payoff + self.L[self.followers[k]] + self.tail[k + 1]).max(axis=1)
 
-    def prefilter(self, i: int, a: int) -> tuple[float, np.ndarray | None]:
-        """Interior test for the i-th follower's region with no follower
-        neighbour assigned, with the LP's point; computed once per
-        (follower, action)."""
-        key = (i, a)
-        if key not in self._prefilter:
-            rows = self._follower_rows(i, (), a)
-            if rows is None:
-                self._prefilter[key] = (0.0, None)
-            elif not len(rows[0]):
-                self._prefilter[key] = (1.0, None)
-            else:
-                self._prefilter[key] = _strict_eps_lp(*rows, self.m_n)
-        return self._prefilter[key]
-
     def extend(self, combo: tuple, s: np.ndarray | None):
         """Rows (D, d0) and an interior point of the prefix combo's region,
-        given an interior point s of its parent prefix's region (None while
-        no follower so far has a row); None when the interior is empty, and
-        then so is that of every profile extending combo. The point is the
-        first that clears every margin: the parent's, the prefilter's, or
-        that of the margin LP (``_emptiness``), which starts at the best pure
-        leader strategy, so it needs no phase 1 and is often that vertex."""
+        given s, its parent's (None at the root); None when the interior is
+        empty, and then so is that of every profile extending combo. A node
+        without rows keeps s; any other takes the first of s and the point of
+        its latest follower's action alone (the prefilter, once per follower
+        id and action; its region holds combo's, so an empty one prunes) that
+        clears every margin by 2 EPS_TOL, and only then runs ``_emptiness``."""
         rows = self.rows(combo)
         if rows is None:
             return None
         D, d0 = rows
 
         def clears(point):
-            # a point clearing every margin is feasible for the joint margin LP:
-            # no LP is needed, not even the prefilter's, whose region holds combo's
-            return not len(D) or (D @ point + d0).min() > 2 * EPS_TOL
+            return point is not None and (D @ point + d0).min() > 2 * EPS_TOL
 
-        if s is not None and clears(s):
+        if not len(D) or clears(s):
             return D, d0, s
-        eps, s_a = self.prefilter(len(combo) - 1, combo[-1])
+        key = self.followers[len(combo) - 1], combo[-1]
+        if key not in self._prefilter:
+            block = self._follower_rows(len(combo) - 1, (), combo[-1])
+            self._prefilter[key] = _strict_eps_lp(*block, self.m_n)
+        eps, s = self._prefilter[key]
         if eps <= EPS_TOL:
             return None
-        if s is None and clears(s_a):
-            return D, d0, s_a
+        if clears(s):
+            return D, d0, s
         eps, s = _emptiness(D, d0, self.m_n)
         return None if eps <= EPS_TOL else (D, d0, s)
 
@@ -573,7 +561,7 @@ def best_first(blocks: _Blocks, solve=None, time_limit: float | None = None):
 
     Branch and bound over prefixes of followers: a heap holds prefixes keyed
     by an upper bound on the value of every profile extending them,
-    lexicographic among equal keys. A prefix is extended
+    lexicographic among equal keys. A prefix, the root included, is extended
     (``_Blocks.extend``, whose rows come from the prefix alone) when it
     first pops. An empty region cuts off the prefix's subtree, which counts
     at its full size. Else, if a result exists and the prefix's key is above
@@ -600,7 +588,7 @@ def best_first(blocks: _Blocks, solve=None, time_limit: float | None = None):
     sizes = [blocks.game.num_actions(p) for p in blocks.followers]
     deadline = None if time_limit is None else time.perf_counter() + time_limit
     # (-key, prefix, interior point of its parent's region, its rows and
-    # point once extended); the root prefix has no rows
+    # point once extended); the root has no parent, so no point
     heap = [(-math.inf, (), None, None)]
     results = []
     best = -math.inf
@@ -617,7 +605,7 @@ def best_first(blocks: _Blocks, solve=None, time_limit: float | None = None):
             break
         depth = len(combo)
         if node is None:
-            node = blocks.extend(combo, s) if combo else (*blocks.rows(()), None)
+            node = blocks.extend(combo, s)
             if node is None:
                 covered += math.prod(sizes[depth:])
                 continue

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -229,7 +230,13 @@ class TestMalformedGame:
 
     @pytest.mark.parametrize(
         "field,value,message",
-        [("p", 7, "edge 0 names unknown player 7"), ("payoff_q", None, "malformed edge 0: missing 'payoff_q'")],
+        [
+            ("p", 7, "edge 0 names unknown player 7"),
+            ("payoff_q", None, "malformed edge 0: missing 'payoff_q'"),
+            ("p", 2.2, "edge 0 end p must be an integer, got 2.2"),
+            ("q", "2", "edge 0 end q must be an integer, got '2'"),
+            ("q", True, "edge 0 end q must be an integer, got True"),
+        ],
     )
     def test_unreadable_edge(self, capsys, tmp_path, field, value, message):
         def edit(edges):
@@ -255,8 +262,14 @@ class TestMalformedGame:
             (lambda data: data["players"][0].pop("id"), "malformed player 0: missing 'id'"),
             (lambda data: data["players"][1].pop("actions"), "malformed player 1: missing 'actions'"),
             (lambda data: data.update(players=5), "players and edges must be lists"),
+            (
+                lambda data: data["players"][0].update(id=1.9),
+                "malformed player 0: id must be an integer, got 1.9",
+            ),
+            (lambda data: data.update(leader=True), "leader must be an integer, got True"),
+            (lambda data: data.update(leader="3"), "leader must be an integer, got '3'"),
         ],
-        ids=["no-id", "no-actions", "players-not-list"],
+        ids=["no-id", "no-actions", "players-not-list", "float-id", "bool-leader", "string-leader"],
     )
     def test_unreadable_player(self, capsys, tmp_path, edit, message):
         data = game_to_json_dict(random_oltpg(3, 2, 0))
@@ -570,6 +583,11 @@ class TestVerify:
             pytest.param("alpha", "abc", "has a non-numeric alpha: could not", id="alpha"),
             pytest.param("value", None, "has a non-numeric value: float()", id="null-value"),
             pytest.param("attained", "no", "has a non-boolean attained: 'no'", id="attained"),
+            pytest.param("alpha", math.nan, "alpha must be positive and finite, got nan", id="nan"),
+            pytest.param("alpha", math.inf, "alpha must be positive and finite, got inf", id="inf"),
+            pytest.param("alpha", -math.inf, "alpha must be positive and finite, got -inf", id="-inf"),
+            pytest.param("alpha", 0, "alpha must be positive and finite, got 0.0", id="zero"),
+            pytest.param("alpha", -1, "alpha must be positive and finite, got -1.0", id="negative"),
         ],
     )
     def test_non_numeric_field_is_domain_error(

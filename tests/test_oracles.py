@@ -161,6 +161,20 @@ class TestGraph:
         with pytest.raises(ValueError):
             graph_from_json_dict({"edges": [[1, 2]]})
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"vertices": 3.0, "edges": [[1, 2]]},
+            {"vertices": 3, "edges": [[1.9, 2]]},
+            {"vertices": 3, "edges": [[1, True]]},
+            {"vertices": 3, "edges": [["1", 2]]},
+        ],
+        ids=["float-vertices", "float-end", "bool-end", "string-end"],
+    )
+    def test_non_integer_id_rejected(self, data):
+        with pytest.raises(ValueError, match="must be an integer"):
+            graph_from_json_dict(data)
+
 
 class TestMaxClique:
     def test_path_graph(self):

@@ -613,6 +613,13 @@ class TestBestFirst:
         solve_plfe(random_oltpg(6, 8, 1))
         assert sum(name in ("_emptiness", "_strict_eps_lp") for name, _, _ in lp_calls) <= 300
 
+    @pytest.mark.parametrize("solve", [solve_plfe, solve_olfe])
+    def test_prefilter_point_clears_deeper_prefix(self, lp_calls, solve):
+        # the parent's point fails prefix (0, 1), but the prefilter's point of
+        # follower 2's action 1 alone clears it, so no node needs its own LP
+        solve(random_oltpg(4, 2, 1))
+        assert sum(name == "_emptiness" for name, _, _ in lp_calls) == 0
+
     @pytest.mark.parametrize("game", list(_tie_games()))
     def test_same_winner_as_solving_every_profile(self, game, monkeypatch):
         flat = _optimistic(game, _flat_survivors(game))
