@@ -21,7 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game_model import GameClass, GameClassError, PolymatrixGame, validate
+from .game_model import (
+    GameClass,
+    GameClassError,
+    PolymatrixGame,
+    json_labels,
+    json_number,
+    validate,
+)
 
 
 @dataclass(frozen=True)
@@ -179,12 +186,14 @@ def bg_to_json_dict(bg: BayesianGame) -> dict:
 
 
 def bg_from_json_dict(data: dict) -> BayesianGame:
+    if not isinstance(data, dict):
+        raise ValueError("Bayesian-game JSON is not an object")
     try:
         kind = data["kind"]
         raw_types = data["types"]
-        leader_actions = [str(a) for a in data["leader_actions"]]
-        follower_actions = [str(a) for a in data["follower_actions"]]
-    except (KeyError, TypeError) as exc:
+        leader_actions = json_labels(data["leader_actions"], "leader_actions")
+        follower_actions = json_labels(data["follower_actions"], "follower_actions")
+    except KeyError as exc:
         raise ValueError(f"malformed Bayesian-game JSON: missing {exc}") from exc
     if not isinstance(raw_types, list):
         raise ValueError("malformed Bayesian-game JSON: types must be a list")
@@ -200,7 +209,7 @@ def bg_from_json_dict(data: dict) -> BayesianGame:
             types.append(
                 FollowerType(
                     name=str(t["name"]),
-                    prob=float(t["prob"]),
+                    prob=json_number(t["prob"], "prob"),
                     follower_payoff=np.array(t["follower_payoff"], dtype=float),
                     leader_payoff=np.array(lp, dtype=float),
                 )
@@ -209,7 +218,7 @@ def bg_from_json_dict(data: dict) -> BayesianGame:
             raise ValueError(f"malformed type {i}: missing {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ValueError(f"malformed type {i}: {exc}") from exc
-    return BayesianGame(tuple(leader_actions), tuple(follower_actions), tuple(types), kind)
+    return BayesianGame(leader_actions, follower_actions, tuple(types), kind)
 
 
 def bg_leader_utility(bg: BayesianGame, s_l: np.ndarray, follower_actions: list[int]) -> float:

@@ -139,9 +139,9 @@ class ValidationReport:
 
 
 def payoff_violations(game: PolymatrixGame) -> list[str]:
-    """Self-edges, edge ends outside ``player_ids``, and payoff matrices of
-    the wrong shape or with non-finite entries; the solvers need a game
-    without any."""
+    """Self-edges, edge ends outside ``player_ids``, edge keys that list the
+    higher id first, and payoff matrices of the wrong shape or with
+    non-finite entries; the solvers need a game without any."""
     violations = []
     for (p, q), (mp, mq) in game.edges.items():
         if p == q:
@@ -150,6 +150,9 @@ def payoff_violations(game: PolymatrixGame) -> list[str]:
         outside = [e for e in (p, q) if e not in game.player_ids]
         if outside:
             violations += [f"edge ({p},{q}) names unknown player {e}" for e in outside]
+            continue
+        if p > q:
+            violations.append(f"edge ({p},{q}) lists the higher id first")
             continue
         want = (game.num_actions(p), game.num_actions(q))
         for name, mat in (("payoff_p", mp), ("payoff_q", mq)):
@@ -318,26 +321,52 @@ def json_int(x, what: str) -> int:
     return x
 
 
+def json_number(x, what: str) -> float:
+    """x as a float when it is a JSON number, not a bool; else raises ValueError naming what."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"{what} must be a number, got {x!r}")
+    return float(x)
+
+
+def json_labels(x, what: str) -> tuple[str, ...]:
+    """x as a tuple when it is a JSON list of strings; else raises ValueError naming what."""
+    if not isinstance(x, list) or not all(isinstance(a, str) for a in x):
+        raise ValueError(f"{what} must be a list of strings, got {x!r}")
+    return tuple(x)
+
+
+def json_matrix(x, what: str) -> np.ndarray:
+    """x as a float array; raises ValueError naming what when numpy cannot read it."""
+    try:
+        return np.array(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what}: {exc}") from exc
+
+
 def game_from_json_dict(data: dict) -> tuple[PolymatrixGame, dict[int, int] | None]:
     """Parse a game; returns (game, renumbering) where renumbering maps
     original ids to canonical ids (players 1..n, leader = n) or None when
     the input is already canonical."""
+    if not isinstance(data, dict):
+        raise ValueError("game JSON is not an object")
     try:
         players = data["players"]
         leader = json_int(data["leader"], "leader")
         raw_edges = data["edges"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ValueError(f"malformed game JSON: missing {exc}") from exc
     if not isinstance(players, list) or not isinstance(raw_edges, list):
         raise ValueError("malformed game JSON: players and edges must be lists")
     ids, labels = [], []
     for i, pl in enumerate(players):
+        if not isinstance(pl, dict):
+            raise ValueError(f"player {i} is not an object")
         try:
             ids.append(json_int(pl["id"], "id"))
-            labels.append(tuple(str(a) for a in pl["actions"]))
+            labels.append(json_labels(pl["actions"], "actions"))
         except KeyError as exc:
             raise ValueError(f"malformed player {i}: missing {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(f"malformed player {i}: {exc}") from exc
         if not labels[-1]:
             raise ValueError(f"player {ids[-1]} has no actions")
@@ -357,11 +386,12 @@ def game_from_json_dict(data: dict) -> tuple[PolymatrixGame, dict[int, int] | No
     actions = {mapping[p]: a for p, a in zip(ids, labels)}
     edges = {}
     for i, e in enumerate(raw_edges):
+        if not isinstance(e, dict):
+            raise ValueError(f"edge {i} is not an object")
         try:
             ends = [json_int(e[end], f"edge {i} end {end}") for end in "pq"]
-            mp = np.array(e["payoff_p"], dtype=float)
-            mq = np.array(e["payoff_q"], dtype=float)
-        except (KeyError, TypeError) as exc:
+            mp, mq = (json_matrix(e[name], f"edge {i} {name}") for name in ("payoff_p", "payoff_q"))
+        except KeyError as exc:
             raise ValueError(f"malformed edge {i}: missing {exc}") from exc
         for end in ends:
             if end not in mapping:

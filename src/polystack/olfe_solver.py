@@ -16,15 +16,18 @@ bounds that dependence over every completion, so an empty prefix region
 still cuts off its subtree. A prefix's upper bound on the value of every
 profile extending it orders the search, which stops once no prefix left
 can win. Where it can cut, that bound is the value of the profile LP
-(``plfe_exact._profile_lp``) over the prefix's closed region, with each
+(``plfe_exact._profile_lp``) over the node's closed region, with each
 unassigned follower's best leader payoff in the objective, read from the
-LP's dual, which starts at a feasible basis and needs no phase 1. A full
-profile's LP is its solve, the primal whose vertex is the strategy, so no
-profile's LP runs twice.
+LP's dual, which starts at a feasible basis and needs no phase 1. The
+search decides a full profile by the same rule as a prefix, for OLFE as
+for PLFE: where it can cut, the profile takes the dual bound first, and
+only if it pops again is it solved by the primal profile LP, whose vertex
+is the strategy.
 """
 
 from __future__ import annotations
 
+from . import plfe_exact
 from .game_model import PolymatrixGame
 from .plfe_exact import (
     LfeResult,
@@ -45,13 +48,17 @@ def solve_olfe(game: PolymatrixGame, time_limit: float | None = None) -> LfeResu
     per-profile LP. The optimum is always attained.
 
     Searches prefixes of followers best bound first, pruning every prefix
-    whose region is already empty, and solves the LP of each profile it
-    reaches until no profile left can win (``best_first`` without a
-    ``solve``: the profile LP is both a full profile's bound and its
-    solve). A time limit truncates the search after it and flags the
-    result as incomplete."""
+    whose region is already empty, and solves the primal profile LP of each
+    profile it reaches until no profile left can win (``best_first``); a
+    profile whose dual LP bound falls short is never solved. A time limit
+    truncates the search after it and flags the result as incomplete."""
     blocks = _Blocks(game)
-    results, inducible, processed, truncated = best_first(blocks, time_limit=time_limit)
+
+    def work(combo, D, d0):
+        got = plfe_exact._profile_lp(blocks, combo, D, d0)
+        return None if got is None else (got[0], combo, got[1])
+
+    results, inducible, processed, truncated = best_first(blocks, work, time_limit)
     if not results:
         if game.is_one_level_tree():
             raise SolverFailure("one-level tree games always admit an inducible profile")

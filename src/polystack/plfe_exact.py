@@ -13,13 +13,15 @@ HBGS puts on a partial type assignment. The LP bound (``_profile_lp``)
 maximizes the same payoff over the prefix's closed region; for a full
 profile it is the optimistic profile LP of the "multiple LPs" method, which
 bounds the max-min LP. It runs only where it can cut: once a result exists,
-on a prefix whose key is above the best value by more than ``_tie_margin``.
-A full profile popped with such a key gets its LP bound first, and its
-max-min LP only if it pops again. The search stops once no prefix left can
-come within ``VALUE_TIE_TOL`` of the best value found. When the optimum is
-a supremum rather than a maximum (some follower can tie with an action
-that hurts the leader), an additive alpha-approximate strategy is computed
-instead of the unattainable exact one.
+on a node whose key is above the best value by more than ``_tie_margin``.
+One rule serves prefixes and full profiles, for PLFE and OLFE alike: such a
+node gets its LP bound first, and a full profile is solved (PLFE: its
+max-min LP; OLFE: its primal profile LP) only if it pops again. The search
+stops once no prefix left can come within ``VALUE_TIE_TOL`` of the best
+value found. When the optimum is a supremum rather than a maximum (some
+follower can tie with an action that hurts the leader), an additive
+alpha-approximate strategy is computed instead of the unattainable exact
+one.
 
 One rule decides every node, the root included (``_Blocks.extend``).
 Neither search LP runs phase 1. A margin LP (the prefilter's
@@ -71,10 +73,10 @@ class LfeResult:
     search ran to the end (``anytime_complete``), the profiles it covered
     (``profiles_enumerated``; apx: in its winning subgame, the only one it finishes) and
     the ``diagnostics`` ``perfbench/spans.py`` reads: ``survivors`` from PLFE,
-    ``inducible_profiles`` from OLFE, none from apx. Both count the profiles the search
-    reached and proved inducible, each solved by one LP; profiles whose bound cannot win
-    are never reached. PLFE counts only the profiles its LP bounds left to a max-min LP:
-    on trees without ties in value, typically the winner and at most one more."""
+    ``inducible_profiles`` from OLFE, none from apx. Both count the leaves ``best_first``
+    handed to its ``solve`` (PLFE: the max-min LP; OLFE: the primal profile LP): profiles
+    the search reached, proved inducible and, where an LP bound ran, left able to win.
+    On trees without ties in value, typically the winner and at most one more."""
 
     value: float
     strategy: MixedStrategy
@@ -549,31 +551,28 @@ def _profile_lp(blocks: _Blocks, combo: tuple, D: np.ndarray, d0: np.ndarray, bo
     return None if got is None else (float(got[1]), MixedStrategy(blocks.game.leader, got[0]))
 
 
-def best_first(blocks: _Blocks, solve=None, time_limit: float | None = None):
+def best_first(blocks: _Blocks, solve, time_limit: float | None = None):
     """Solves follower pure profiles whose best-response region has
     nonempty interior, best bound first, and keeps the results that are not
     None; a result's entry 0 is the profile's value. ``solve(combo, D, d0)``
     gives a result from ``combo``, the tuple of actions in
     ``game.followers`` order, and (D, d0), the profile's stacked margin
     rows; its value must be at most the profile's ``_profile_lp`` value.
-    Without ``solve`` a profile's result is (value, combo, strategy) of
-    ``_profile_lp``.
 
-    Branch and bound over prefixes of followers: a heap holds prefixes keyed
-    by an upper bound on the value of every profile extending them,
-    lexicographic among equal keys. A prefix, the root included, is extended
-    (``_Blocks.extend``, whose rows come from the prefix alone) when it
-    first pops. An empty region cuts off the prefix's subtree, which counts
-    at its full size. Else, if a result exists and the prefix's key is above
-    the best value by more than ``_tie_margin``, so that a tighter bound can
-    cut it, ``_profile_lp`` bounds it over its closed region: it goes back
-    on the heap keyed by the lower of its key and that bound, ``_padded``
-    for LP error. Only that value is read, so the bound comes from the
-    dual (``bound=True``), which starts feasible and needs no phase 1; any
-    of its feasible points bounds the value. A full profile is bounded so
-    too when there is a ``solve``; without one its bound is its result, from
-    the primal, whose vertex is the strategy. Otherwise, or when it
-    pops again, a full profile is solved and a prefix's children join the
+    Branch and bound over prefixes of followers: a heap holds nodes, each a
+    prefix keyed by an upper bound on the value of every profile extending
+    it, lexicographic among equal keys. One rule decides every node, the
+    root and full profiles included. A node is extended (``_Blocks.extend``,
+    whose rows come from the prefix alone) when it first pops. An empty
+    region cuts off the node's subtree, which counts at its full size. Else,
+    if a result exists and the node's key is above the best value by more
+    than ``_tie_margin``, so that a tighter bound can cut it,
+    ``_profile_lp`` bounds it over its closed region: it goes back on the
+    heap keyed by the lower of its key and that bound, ``_padded`` for LP
+    error. Only that value is read, so the bound comes from the dual
+    (``bound=True``), which starts feasible and needs no phase 1; any of its
+    feasible points bounds the value. Otherwise, or when it pops again, a
+    full profile is handed to ``solve`` and a prefix's children join the
     heap, keyed by the lower of ``_Blocks.bound`` and the prefix's key.
 
     Stops once the top key is below the best value so far by more than
@@ -609,8 +608,7 @@ def best_first(blocks: _Blocks, solve=None, time_limit: float | None = None):
             if node is None:
                 covered += math.prod(sizes[depth:])
                 continue
-            can_cut = results and key > best + _tie_margin(best)
-            if can_cut and (solve is not None or depth < len(sizes)):
+            if results and key > best + _tie_margin(best):
                 got = _profile_lp(blocks, combo, *node[:2], bound=True)
                 if got is not None:
                     key = min(key, _padded(got[0]))
@@ -622,11 +620,7 @@ def best_first(blocks: _Blocks, solve=None, time_limit: float | None = None):
         else:
             found += 1
             covered += 1
-            if solve is not None:
-                result = solve(combo, *node[:2])
-            else:
-                got = _profile_lp(blocks, combo, *node[:2])
-                result = None if got is None else (got[0], combo, got[1])
+            result = solve(combo, *node[:2])
             if result is not None:
                 results.append((combo, result))
                 best = max(best, result[0])

@@ -4,7 +4,9 @@ Run from the repository root with ``PYTHONPATH=src python tests/lp_digest.py``.
 It prints the number of games, the number of ``lp_core.maximize`` calls
 with their count per calling function (the LP kinds of ``test_lp_kinds``),
 the number of simplex pivots, the number of tableau cells those pivots
-update (the sum of ``T.size`` over every pivot), a sha256 over every
+update (the sum of ``T.size`` over every pivot), the number of calls that
+run phase 1 (those with an equality row or a negative right-hand side,
+whose slack basis is not feasible), a sha256 over every
 call's inputs, status, ``x`` bytes and ``repr`` of its objective, and a
 sha256 over every ``solve`` exit code, stdout and stderr. Pivots and cells
 are counted by wrapping ``lp_core._pivot``, as ``perfbench/spans.py`` does.
@@ -12,11 +14,11 @@ A change meant to keep every LP and every output bit-for-bit prints the
 same line before and after, save ``cells`` when it narrows or widens the
 tableau. A change that skips LPs, such as a tighter search, moves
 ``calls`` and ``lp``, and one that starts LPs nearer their optimum moves
-``pivots``, but neither may move ``cli``; ``test_lp_digest`` pins it. The
-games: ``random_oltpg`` n 3-5 x m 2-4 x seeds 0-2 in both kinds, in all
-four tree modes; every game of ``test_golden`` in its stored modes; and
-``pure-olfe`` on ``test_plfe_exact._general_game(0..5)``. pytest does not
-collect this file.
+``pivots`` and ``phase1``, but neither may move ``cli``; ``test_lp_digest``
+pins it. The games: ``random_oltpg`` n 3-5 x m 2-4 x seeds 0-2 in both
+kinds, in all four tree modes; every game of ``test_golden`` in its stored
+modes; and ``pure-olfe`` on ``test_plfe_exact._general_game(0..5)``. pytest
+does not collect this file.
 """
 
 import collections
@@ -59,11 +61,12 @@ def _arg_bytes(a) -> bytes:
 def digest():
     """(number of games, ``maximize`` calls per calling function, sha256 hex
     of every LP, sha256 hex of every ``solve`` output, number of pivots,
-    number of tableau cells the pivots update) over ``games()``."""
+    number of tableau cells the pivots update, number of calls that run
+    phase 1) over ``games()``."""
     lp_hash, cli_hash = hashlib.sha256(), hashlib.sha256()
     callers = collections.Counter()
     maximize, pivot = lp_core.maximize, lp_core._pivot
-    pivots = cells = 0
+    pivots = cells = phase1 = 0
 
     def counted(*args):
         nonlocal pivots, cells
@@ -72,7 +75,10 @@ def digest():
         pivot(*args)
 
     def recorded(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
+        nonlocal phase1
         callers[sys._getframe(1).f_code.co_name] += 1
+        if (A_eq is not None and len(A_eq)) or (b_ub is not None and (np.asarray(b_ub) < 0).any()):
+            phase1 += 1
         res = maximize(c, A_ub, b_ub, A_eq, b_eq)
         for a in (c, A_ub, b_ub, A_eq, b_eq):
             lp_hash.update(_arg_bytes(a))
@@ -93,15 +99,15 @@ def digest():
                     cli_hash.update(f"{code}\0{out}\0{err}\0".encode())
     finally:
         lp_core.maximize, lp_core._pivot = maximize, pivot
-    return count, callers, lp_hash.hexdigest(), cli_hash.hexdigest(), pivots, cells
+    return count, callers, lp_hash.hexdigest(), cli_hash.hexdigest(), pivots, cells, phase1
 
 
 def main():
-    count, callers, lp, cli, pivots, cells = digest()
+    count, callers, lp, cli, pivots, cells, phase1 = digest()
     kinds = " ".join(f"{name}={n}" for name, n in sorted(callers.items()))
     print(
         f"games {count} calls {sum(callers.values())} ({kinds}) pivots {pivots} cells {cells}"
-        f" lp {lp} cli {cli}"
+        f" phase1 {phase1} lp {lp} cli {cli}"
     )
 
 

@@ -236,16 +236,25 @@ class TestMalformedGame:
             ("p", 2.2, "edge 0 end p must be an integer, got 2.2"),
             ("q", "2", "edge 0 end q must be an integer, got '2'"),
             ("q", True, "edge 0 end q must be an integer, got True"),
+            ("game", [1, 2], "game JSON is not an object"),
+            ("edge", [1, 2], "edge 0 is not an object"),
+            ("payoff_p", [["x", 1.0], [2.0, 3.0]], "edge 0 payoff_p: could not convert string to float: 'x'"),
+            ("payoff_q", [[1.0], [2.0, 3.0]], "edge 0 payoff_q: setting an array element with a sequence"),
         ],
     )
     def test_unreadable_edge(self, capsys, tmp_path, field, value, message):
-        def edit(edges):
-            if value is None:
-                del edges[0][field]
-            else:
-                edges[0][field] = value
-
-        game, _ = self.write(tmp_path, edit)
+        data = game_to_json_dict(random_oltpg(3, 2, 0))
+        if field == "game":  # the whole file
+            data = value
+        elif field == "edge":  # the whole of edge 0
+            data["edges"][0] = value
+        elif value is None:
+            del data["edges"][0][field]
+        else:
+            data["edges"][0][field] = value
+        game = tmp_path / "bad.json"
+        game.write_text(json.dumps(data))
+        game = str(game)
         for argv in (
             ["validate", game],
             ["solve", "--mode", "pessimistic", game],
@@ -268,8 +277,27 @@ class TestMalformedGame:
             ),
             (lambda data: data.update(leader=True), "leader must be an integer, got True"),
             (lambda data: data.update(leader="3"), "leader must be an integer, got '3'"),
+            (
+                lambda data: data["players"][0].update(actions="ab"),
+                "malformed player 0: actions must be a list of strings, got 'ab'",
+            ),
+            (
+                lambda data: data["players"][1].update(actions=[1.5, None]),
+                "malformed player 1: actions must be a list of strings, got [1.5, None]",
+            ),
+            (lambda data: data["players"].__setitem__(0, [1, ["a", "b"]]), "player 0 is not an object"),
         ],
-        ids=["no-id", "no-actions", "players-not-list", "float-id", "bool-leader", "string-leader"],
+        ids=[
+            "no-id",
+            "no-actions",
+            "players-not-list",
+            "float-id",
+            "bool-leader",
+            "string-leader",
+            "string-actions",
+            "non-string-labels",
+            "player-not-object",
+        ],
     )
     def test_unreadable_player(self, capsys, tmp_path, edit, message):
         data = game_to_json_dict(random_oltpg(3, 2, 0))
@@ -371,6 +399,15 @@ class TestGenerate:
         assert_domain_error(capsys, ["generate", *args], message)
 
 
+def _type0(edit):
+    """An edit of a Bayesian game's JSON that replaces type 0 by edit(type 0)."""
+
+    def apply(data):
+        data["types"][0] = edit(data["types"][0])
+
+    return apply
+
+
 class TestConvert:
     def test_round_trip_byte_identical(self, capsys, game_file):
         code, bg = run_out(capsys, ["convert", "--to", "bayesian", game_file])
@@ -422,22 +459,43 @@ class TestConvert:
         "edit,message",
         [
             (
-                lambda t: {k: v for k, v in t.items() if k != "follower_payoff"},
+                _type0(lambda t: {k: v for k, v in t.items() if k != "follower_payoff"}),
                 "malformed type 0: missing 'follower_payoff'",
             ),
-            (lambda t: "not an object", "type 0 is not an object"),
-            (lambda t: {**t, "prob": float("nan")}, "type 'player_1' has probability nan"),
+            (_type0(lambda t: "not an object"), "type 0 is not an object"),
+            (_type0(lambda t: {**t, "prob": float("nan")}), "type 'player_1' has probability nan"),
+            (_type0(lambda t: {**t, "prob": True}), "malformed type 0: prob must be a number, got True"),
+            (_type0(lambda t: {**t, "prob": "0.5"}), "malformed type 0: prob must be a number, got '0.5'"),
             (
-                lambda t: {**t, "follower_payoff": [[float("nan")] * len(r) for r in t["follower_payoff"]]},
+                _type0(lambda t: {**t, "follower_payoff": [[float("nan")] * len(r) for r in t["follower_payoff"]]}),
                 "type 'player_1' has non-finite payoffs",
             ),
+            (
+                lambda data: data.update(leader_actions="xy"),
+                "leader_actions must be a list of strings, got 'xy'",
+            ),
+            (
+                lambda data: data.update(follower_actions=[1.5, None]),
+                "follower_actions must be a list of strings, got [1.5, None]",
+            ),
+            (lambda data: [1, 2], "Bayesian-game JSON is not an object"),
         ],
-        ids=["no-follower-payoff", "type-not-object", "nan-prob", "nan-payoff"],
+        ids=[
+            "no-follower-payoff",
+            "type-not-object",
+            "nan-prob",
+            "bool-prob",
+            "string-prob",
+            "nan-payoff",
+            "string-leader-actions",
+            "non-string-follower-labels",
+            "not-object",
+        ],
     )
     def test_unreadable_bayesian_type(self, capsys, game_file, tmp_path, edit, message):
         _, bg = run_out(capsys, ["convert", "--to", "bayesian", game_file])
         data = json.loads(bg)
-        data["types"][0] = edit(data["types"][0])
+        data = edit(data) or data
         path = tmp_path / "bg.json"
         path.write_text(json.dumps(data))
         assert run(["convert", "--to", "polymatrix", str(path)]) == 1

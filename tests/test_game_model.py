@@ -148,6 +148,14 @@ class TestGraphView:
         want = ["edge (2,9) names unknown player 9"]
         assert (rep.game_class.value, rep.violations) == ("general_pg", want)
 
+    def test_reversed_edge_key(self):
+        # a key lists its lower id first; validate used to raise KeyError
+        # from leader_edge on (2, 1)
+        g = PolymatrixGame((1, 2), {1: ("a", "b"), 2: ("x", "y")}, 2, {(2, 1): (np.eye(2), np.ones((2, 2)))})
+        rep = validate(g)
+        want = ["edge (2,1) lists the higher id first"]
+        assert (rep.game_class.value, rep.violations) == ("general_pg", want)
+
 
 class TestBestResponse:
     def test_uniform_best_responses(self, star3_game):

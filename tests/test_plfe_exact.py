@@ -451,7 +451,8 @@ def _solve_recorded(monkeypatch, game, solver, flat):
 
     def recorded(blocks, combo, *args, **kwargs):
         got = lp(blocks, combo, *args, **kwargs)
-        if len(combo) == len(blocks.followers):  # not a prefix's bound LP
+        # not a bound LP, which any node, a full profile too, may take first
+        if len(combo) == len(blocks.followers) and not kwargs.get("bound"):
             solved.append(combo)
             if got is not None:
                 values.append(got[0])
@@ -528,14 +529,10 @@ class TestSearchProfiles:
         assert r.profile == dict(zip(game.followers, first))
 
 
-def _solve_every_profile(blocks, solve=None, time_limit=None):
+def _solve_every_profile(blocks, solve, time_limit=None):
     """``best_first`` without its search or its bounds: solves every profile
     of ``_flat_survivors``, in lexicographic order."""
     combos = _flat_survivors(blocks.game)
-    if solve is None:
-        def solve(combo, D, d0):
-            got = plfe_exact._profile_lp(blocks, combo, D, d0)
-            return None if got is None else (got[0], combo, got[1])
     results = [r for r in (solve(combo, *blocks.rows(combo)) for combo in combos) if r is not None]
     total = math.prod(blocks.game.num_actions(p) for p in blocks.followers)
     return results, len(combos), total, False
@@ -571,13 +568,20 @@ class TestBestFirst:
     def test_profile_lp_budget(self, lp_calls, args):
         # 150, 165 and 159 profiles have a full-dimensional region; the
         # bounds leave all but 2, 1 and 2 of them without a max-min LP.
-        # OLFE's profile LPs include the bound LPs on prefixes
+        # OLFE's profile LPs include the bound LPs on every node
         g = random_oltpg(*args)
         for solve, kind in ((solve_plfe, "_max_min"), (solve_olfe, "_profile_lp")):
             lp_calls.clear()
             solve(g)
             assert sum(name == kind for name, _, _ in lp_calls) <= 40, kind
             assert sum(name == "_max_min" for name, _, _ in lp_calls) <= 3
+
+    @pytest.mark.parametrize("args, leaves", [((3, 14, 0), 2), ((4, 8, 2), 1)])
+    def test_olfe_bounds_a_leaf_before_its_primal(self, args, leaves):
+        # a full profile whose key can still be cut takes the dual bound
+        # first, as PLFE's do; a search that handed every leaf it reached to
+        # the primal gave 8 and 11 here
+        assert solve_olfe(random_oltpg(*args)).diagnostics["inducible_profiles"] == leaves
 
     @pytest.mark.parametrize(
         "game",
