@@ -206,9 +206,12 @@ def bg_from_json_dict(data: dict) -> BayesianGame:
         if lp is None:
             raise ValueError(f"type {t.get('name')!r} has no leader payoff")
         try:
+            name = t["name"]
+            if not isinstance(name, str):
+                raise ValueError(f"name must be a string, got {name!r}")
             types.append(
                 FollowerType(
-                    name=str(t["name"]),
+                    name=name,
                     prob=json_number(t["prob"], "prob"),
                     follower_payoff=np.array(t["follower_payoff"], dtype=float),
                     leader_payoff=np.array(lp, dtype=float),

@@ -35,6 +35,7 @@ from .game_model import (
     evaluate_commitment,
     game_from_json_dict,
     game_to_json_dict,
+    json_number,
     payoff_violations,
     validate,
 )
@@ -124,9 +125,13 @@ def _check_threads(threads: int) -> None:
 
 def _checked_strategy(probs, game: PolymatrixGame) -> MixedStrategy:
     try:
-        s = MixedStrategy(game.leader, np.array(probs, dtype=float))
+        if not isinstance(probs, list):
+            raise ValueError(f"expected a list of numbers, got {probs!r}")
+        s = MixedStrategy(
+            game.leader, np.array([json_number(x, "strategy entry") for x in probs], dtype=float)
+        )
         s.validate(game.num_actions(game.leader))
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise DomainError(f"invalid strategy: {exc}") from exc
     return s
 
@@ -270,9 +275,9 @@ def _cmd_verify(args) -> int:
     except KeyError as exc:
         raise DomainError(f"result file is not a solve output: missing {exc}") from exc
     try:
-        value = float(value)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"result file has a non-numeric value: {exc}") from exc
+        value = json_number(value, "value")
+    except ValueError as exc:
+        raise DomainError(f"result file {exc}") from exc
     if mode not in MODES:
         raise DomainError(f"result file has an unknown mode {mode!r}")
     eval_mode = "optimistic" if mode in ("optimistic", "pure-olfe") else "pessimistic"
@@ -284,9 +289,9 @@ def _cmd_verify(args) -> int:
     if not isinstance(attained, bool):
         raise DomainError(f"result file has a non-boolean attained: {attained!r}")
     try:
-        slack = 0.0 if attained else float(result.get("alpha", 0.0))
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"result file has a non-numeric alpha: {exc}") from exc
+        slack = 0.0 if attained else json_number(result.get("alpha", 0.0), "alpha")
+    except ValueError as exc:
+        raise DomainError(f"result file {exc}") from exc
     if not attained and not 0 < slack < float("inf"):
         raise DomainError(f"result file alpha must be positive and finite, got {slack!r}")
     if game.is_one_level_tree():

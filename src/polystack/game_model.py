@@ -205,41 +205,62 @@ def pure_utility(game: PolymatrixGame, p: int, full_profile: dict[int, int]) -> 
     return float(total)
 
 
+def _best_responses(expected: np.ndarray) -> np.ndarray:
+    """Mask of the entries within DEFAULT_TOL of the largest along the last axis."""
+    return expected >= expected.max(axis=-1, keepdims=True) - DEFAULT_TOL
+
+
 def best_response_set(game: PolymatrixGame, p: int, s_n: MixedStrategy) -> set[int]:
     """Actions of follower p within DEFAULT_TOL of the best expected utility
     against the leader commitment (one-level tree games only)."""
     game._require_oltpg()
     s_n.validate(game.num_actions(game.leader))
     expected = game.leader_edge(p)[0] @ s_n.probs
-    return set(np.nonzero(expected >= expected.max() - DEFAULT_TOL)[0].tolist())
+    return set(np.nonzero(_best_responses(expected))[0].tolist())
+
+
+def evaluate_commitments(
+    game: PolymatrixGame, probs: np.ndarray, mode: str = "pessimistic"
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact leader values of a (G x m_n) array of commitments in a
+    one-level tree game, one commitment per row, which is not validated.
+
+    Each follower picks, inside her best-response set, the action that
+    minimizes (pessimistic) or maximizes (optimistic) the leader's expected
+    bilateral utility; ties break on the smallest action index. Returns the
+    G values and the (G x followers) actions, columns in ``game.followers``
+    order. Expected utilities come from a stacked mat-vec, which runs the
+    same gemv per row as ``own @ row``, and values are summed follower by
+    follower from 0.0, so every row gets the bits a batch of one gives.
+    """
+    if mode not in ("pessimistic", "optimistic"):
+        raise ValueError(f"unknown mode {mode!r}")
+    game._require_oltpg()
+    pessimistic = mode == "pessimistic"
+    cols = probs[:, :, None]
+    rows = np.arange(len(probs))
+    values = np.zeros(len(probs))
+    profiles = np.empty((len(probs), len(game.followers)), dtype=int)
+    for j, p in enumerate(game.followers):
+        own, other = game.leader_edge(p)
+        expected = np.matmul(own, cols)[:, :, 0]
+        leader_vals = np.matmul(other, cols)[:, :, 0]
+        # outside the best responses an infinity no pick can prefer
+        masked = np.where(_best_responses(expected), leader_vals, np.inf if pessimistic else -np.inf)
+        a = masked.argmin(1) if pessimistic else masked.argmax(1)
+        profiles[:, j] = a
+        values += leader_vals[rows, a]
+    return values, profiles
 
 
 def evaluate_commitment(
     game: PolymatrixGame, s_n: MixedStrategy, mode: str = "pessimistic"
 ) -> tuple[float, dict[int, int]]:
-    """Exact leader value of a commitment in a one-level tree game.
-
-    Each follower picks, inside her best-response set, the action that
-    minimizes (pessimistic) or maximizes (optimistic) the leader's expected
-    bilateral utility; ties break on the smallest action index.
-    """
-    if mode not in ("pessimistic", "optimistic"):
-        raise ValueError(f"unknown mode {mode!r}")
-    game._require_oltpg()
+    """Exact leader value and follower profile of one commitment in a
+    one-level tree game: ``evaluate_commitments`` on a batch of one."""
     s_n.validate(game.num_actions(game.leader))
-    value = 0.0
-    profile = {}
-    for p in game.followers:
-        own, other = game.leader_edge(p)
-        expected = own @ s_n.probs
-        best = np.nonzero(expected >= expected.max() - DEFAULT_TOL)[0]
-        leader_vals = other @ s_n.probs
-        picks = leader_vals[best]
-        idx = int(np.argmin(picks)) if mode == "pessimistic" else int(np.argmax(picks))
-        a_p = int(best[idx])
-        profile[p] = a_p
-        value += float(leader_vals[a_p])
-    return value, profile
+    values, profiles = evaluate_commitments(game, s_n.probs[None], mode)
+    return float(values[0]), dict(zip(game.followers, profiles[0].tolist()))
 
 
 def _follower_utility_tensors(game: PolymatrixGame, s_n: MixedStrategy):

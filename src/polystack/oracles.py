@@ -3,7 +3,11 @@
 These deliberately avoid the solver code paths: the grid oracle evaluates
 commitments on a simplex lattice, the one-dimensional oracle works out the
 exact piecewise-affine geometry of two leader actions, and the clique
-search is plain branch and bound on bitsets.
+search is plain branch and bound on bitsets. On one-level trees the first
+two score commitments in array blocks, a few array operations per follower
+instead of one Python call per point: the grid by the one rule
+``evaluate_commitment`` uses, the one-dimensional oracle by its own
+affine arithmetic.
 """
 
 from __future__ import annotations
@@ -19,11 +23,13 @@ from .game_model import (
     MixedStrategy,
     PolymatrixGame,
     enumerate_pure_ne,
-    evaluate_commitment,
+    evaluate_commitment,  # noqa: F401 (perfbench wraps oracles.evaluate_commitment)
+    evaluate_commitments,
     json_int,
 )
 
 _GRID_GUARD = 10_000_000
+_GRID_BLOCK = 4096  # tree grid points scored per array batch
 _BREAKPOINT_TOL = 1e-12
 _STRICT_TOL = 1e-9
 
@@ -45,6 +51,14 @@ def _simplex_grid(k: int, m: int):
             prev = c
         parts.append(k + m - 2 - prev)
         yield parts
+
+
+def _grid_blocks(k: int, m: int):
+    """``_simplex_grid``'s points divided by k, in order, as float arrays
+    of at most _GRID_BLOCK rows."""
+    points = _simplex_grid(k, m)
+    while block := list(itertools.islice(points, _GRID_BLOCK)):
+        yield np.array(block, dtype=float) / k
 
 
 def _leader_utility(game: PolymatrixGame, probs: np.ndarray, profile: dict[int, int]) -> float:
@@ -82,15 +96,19 @@ def _strictly_stable(game: PolymatrixGame, probs: np.ndarray, profile: dict[int,
 
 def grid_oracle(game: PolymatrixGame, k: int, mode: str = "pessimistic") -> GridResult:
     """Best leader value over all strategies with probabilities that are
-    multiples of 1/k. A lower-bound witness for the true supremum.
+    multiples of 1/k. A lower-bound witness for the true supremum; the
+    first maximal point in lexicographic order is the witness.
 
-    One-level trees are evaluated exactly per follower; general games use
-    pure-equilibrium enumeration, skipping points where none exists (the
-    worst / best equilibrium defines the point's value). In optimistic mode
-    a general game's point counts only the equilibria that every
-    payoff-changing deviation leaves strictly (``_strictly_stable``): the
-    optimistic solver keeps only profiles whose region is full-dimensional,
-    and an equilibrium on a measure-zero region would overstate its value.
+    One-level trees are scored in blocks of _GRID_BLOCK points by
+    ``evaluate_commitments``, the rule ``evaluate_commitment`` applies to
+    one point, so every point's value has the bits a call per point gives.
+    General games use pure-equilibrium enumeration point by point, skipping
+    points where none exists (the worst / best equilibrium defines the
+    point's value). In optimistic mode a general game's point counts only
+    the equilibria that every payoff-changing deviation leaves strictly
+    (``_strictly_stable``): the optimistic solver keeps only profiles whose
+    region is full-dimensional, and an equilibrium on a measure-zero region
+    would overstate its value.
     """
     if mode not in ("pessimistic", "optimistic"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -100,16 +118,20 @@ def grid_oracle(game: PolymatrixGame, k: int, mode: str = "pessimistic") -> Grid
     if comb(k + m_n - 1, m_n - 1) > _GRID_GUARD:
         raise ValueError(f"grid too large: C({k + m_n - 1},{m_n - 1}) points")
 
-    tree = game.is_one_level_tree()
     best_v = -np.inf
     best_s = None
     skipped = 0
-    for parts in _simplex_grid(k, m_n):
-        probs = np.array(parts, dtype=float) / k
-        s = MixedStrategy(game.leader, probs)
-        if tree:
-            v, _ = evaluate_commitment(game, s, mode)
-        else:
+    if game.is_one_level_tree():
+        for probs in _grid_blocks(k, m_n):
+            values, _ = evaluate_commitments(game, probs, mode)
+            i = int(values.argmax())  # the block's first maximal point
+            if values[i] > best_v:
+                best_v = values[i]
+                best_s = MixedStrategy(game.leader, probs[i].copy())
+    else:
+        for parts in _simplex_grid(k, m_n):
+            probs = np.array(parts, dtype=float) / k
+            s = MixedStrategy(game.leader, probs)
             profiles = enumerate_pure_ne(game, s)
             if mode == "optimistic":
                 profiles = [a for a in profiles if _strictly_stable(game, probs, a)]
@@ -118,9 +140,9 @@ def grid_oracle(game: PolymatrixGame, k: int, mode: str = "pessimistic") -> Grid
                 continue
             vals = [_leader_utility(game, probs, a) for a in profiles]
             v = min(vals) if mode == "pessimistic" else max(vals)
-        if v > best_v:
-            best_v = v
-            best_s = s
+            if v > best_v:
+                best_v = v
+                best_s = s
     if best_s is None:
         raise ValueError("no grid point admits a pure follower equilibrium")
     return GridResult(float(best_v), best_s, skipped)
@@ -135,7 +157,10 @@ def supremum_1d(game: PolymatrixGame) -> tuple[float, bool]:
     leader's own affine pieces makes the pessimistic value affine per
     interval. The supremum is then the max over interval endpoint limits
     and closed breakpoint values, and it is attained iff a closed point
-    achieves it.
+    achieves it. Worst responses are found for all breakpoints in one
+    array pass and for all interval midpoints in a second, ties to the
+    lowest index as in ``evaluate_commitment``, with this function's own
+    affine arithmetic summed in follower order.
     """
     if not game.is_one_level_tree():
         raise GameClassError("one-dimensional oracle requires a one-level tree game")
@@ -164,38 +189,33 @@ def supremum_1d(game: PolymatrixGame) -> tuple[float, bool]:
     for t in pts[1:]:
         if t - merged[-1] > _BREAKPOINT_TOL:
             merged.append(t)
-    pts = merged
+    pts = np.array(merged)
 
-    def worst_responses(t: float):
-        """Each follower's (slope, intercept) of the leader's utility at the
-        best response worst for the leader at t, lowest index on ties."""
+    def worst_responses(t: np.ndarray):
+        """Each follower's (slopes, intercepts) of the leader's utility at
+        the best response worst for the leader at each t, lowest index on
+        ties."""
+        col = t[:, None]
         for p in game.followers:
             fs, fi = fol[p]
-            u = fs * t + fi
-            best = np.nonzero(u >= u.max() - 1e-11)[0]
+            u = fs * col + fi
+            best = u >= u.max(axis=1, keepdims=True) - 1e-11
             ls, li = lead[p]
-            a = int(best[int(np.argmin(ls[best] * t + li[best]))])
+            a = np.where(best, ls * col + li, np.inf).argmin(axis=1)
             yield ls[a], li[a]
 
-    def closed_value(t: float) -> float:
-        total = 0.0
-        for slope, inter in worst_responses(t):
-            total += float(slope * t + inter)
-        return total
-
-    def piece(lo: float, hi: float):
-        """(slope, intercept) of the pessimistic value on the open interval."""
-        slope_sum = inter_sum = 0.0
-        for slope, inter in worst_responses((lo + hi) / 2.0):
-            slope_sum += slope
-            inter_sum += inter
-        return slope_sum, inter_sum
-
-    closed_max = max(closed_value(t) for t in pts)
-    open_max = -np.inf
-    for lo, hi in zip(pts, pts[1:]):
-        slope, inter = piece(lo, hi)
-        open_max = max(open_max, slope * lo + inter, slope * hi + inter)
+    closed = np.zeros(len(pts))
+    for slope, inter in worst_responses(pts):
+        closed += slope * pts + inter
+    # the pessimistic value is affine on each open interval: its (slope,
+    # intercept) are the worst responses' at the interval's midpoint
+    lo, hi = pts[:-1], pts[1:]
+    slope_sum, inter_sum = np.zeros(len(lo)), np.zeros(len(lo))
+    for slope, inter in worst_responses((lo + hi) / 2.0):
+        slope_sum += slope
+        inter_sum += inter
+    open_max = max((slope_sum * lo + inter_sum).max(), (slope_sum * hi + inter_sum).max())
+    closed_max = closed.max()
     value = max(closed_max, open_max)
     attained = bool(closed_max >= value - 1e-12)
     return float(value), attained

@@ -466,6 +466,7 @@ class TestConvert:
             (_type0(lambda t: {**t, "prob": float("nan")}), "type 'player_1' has probability nan"),
             (_type0(lambda t: {**t, "prob": True}), "malformed type 0: prob must be a number, got True"),
             (_type0(lambda t: {**t, "prob": "0.5"}), "malformed type 0: prob must be a number, got '0.5'"),
+            (_type0(lambda t: {**t, "name": [1, None]}), "malformed type 0: name must be a string, got [1, None]"),
             (
                 _type0(lambda t: {**t, "follower_payoff": [[float("nan")] * len(r) for r in t["follower_payoff"]]}),
                 "type 'player_1' has non-finite payoffs",
@@ -486,6 +487,7 @@ class TestConvert:
             "nan-prob",
             "bool-prob",
             "string-prob",
+            "non-string-name",
             "nan-payoff",
             "string-leader-actions",
             "non-string-follower-labels",
@@ -637,9 +639,9 @@ class TestVerify:
     @pytest.mark.parametrize(
         "field,bad,message",
         [
-            pytest.param("value", "abc", "has a non-numeric value: could not", id="value"),
-            pytest.param("alpha", "abc", "has a non-numeric alpha: could not", id="alpha"),
-            pytest.param("value", None, "has a non-numeric value: float()", id="null-value"),
+            pytest.param("value", "abc", "value must be a number, got 'abc'", id="value"),
+            pytest.param("alpha", "abc", "alpha must be a number, got 'abc'", id="alpha"),
+            pytest.param("value", None, "value must be a number, got None", id="null-value"),
             pytest.param("attained", "no", "has a non-boolean attained: 'no'", id="attained"),
             pytest.param("alpha", math.nan, "alpha must be positive and finite, got nan", id="nan"),
             pytest.param("alpha", math.inf, "alpha must be positive and finite, got inf", id="inf"),
@@ -664,6 +666,33 @@ class TestVerify:
         assert captured.err.startswith(f"error: result file {message}")
 
     @pytest.mark.parametrize(
+        "edit,message",
+        [
+            pytest.param(
+                lambda d: {"value": str(d["value"])},
+                "value must be a number, got '154.29256856302163'",
+                id="numeric-string-value",
+            ),
+            pytest.param(lambda d: {"value": True}, "value must be a number, got True", id="bool-value"),
+            pytest.param(
+                lambda d: {"attained": False, "alpha": True}, "alpha must be a number, got True", id="bool-alpha"
+            ),
+        ],
+    )
+    def test_numbers_must_be_json_numbers(self, capsys, tmp_path, edit, message):
+        # each edit once passed verify as a number: the string with exit 0
+        # and ok true, as did the bool alpha; the bool value as 1.0
+        game = tmp_path / "g.json"
+        _, text = run_out(capsys, ["generate", "random", "--players", "3", "--actions", "2", "--seed", "0"])
+        game.write_text(text)
+        _, solved = run_out(capsys, ["solve", "--mode", "pessimistic", str(game)])
+        data = json.loads(solved)
+        data.update(edit(data))
+        res = tmp_path / "r.json"
+        res.write_text(json.dumps(data))
+        assert_domain_error(capsys, ["verify", "--against", "1d", str(game), str(res)], f"result file {message}")
+
+    @pytest.mark.parametrize(
         "text,message",
         [
             pytest.param("[1, 2, 3]", "expected a JSON object", id="list"),
@@ -684,7 +713,7 @@ class TestVerify:
     def test_invalid_strategy_is_domain_error(self, capsys, game_file, tmp_path):
         _, solved = run_out(capsys, ["solve", "--mode", "pessimistic", game_file])
         data = json.loads(solved)
-        for bad in ([1.5, -0.25, -0.25], ["a", "b", "c"]):
+        for bad in ([1.5, -0.25, -0.25], ["a", "b", "c"], ["0.5", "0.25", "0.25"], [True, False, False], 1.0):
             data["strategy"] = bad
             res = tmp_path / "r.json"
             res.write_text(json.dumps(data))

@@ -1,12 +1,15 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from polystack.game_model import MixedStrategy, PolymatrixGame
-from polystack.instance_gen import CnfFormula, random_oltpg, sat_to_pg_olfe
+from polystack.bayesian_bridge import bg_to_polymatrix
+from polystack.game_model import MixedStrategy, PolymatrixGame, evaluate_commitment
+from polystack.instance_gen import CnfFormula, clique_to_spg, random_oltpg, sat_to_pg_olfe
 from polystack.olfe_solver import solve_olfe
 from polystack.oracles import (
+    _GRID_BLOCK,
     Graph,
     GridResult,
     graph_from_json_dict,
@@ -16,7 +19,10 @@ from polystack.oracles import (
     supremum_1d,
 )
 
+import oracle_reference as reference
 from conftest import two_player_game
+from test_bayesian_bridge import random_bg
+from test_golden import _rounded_tree, _tied_tree
 
 
 class TestGridOracle:
@@ -134,6 +140,86 @@ class TestSupremum1d:
             )
             v, _ = supremum_1d(g)
             assert grid_oracle(g, 512).value <= v + 1e-9
+
+
+def _small_int_tree(rng, m_n, leader_first):
+    """A tree with small integer payoffs, so best responses and leader
+    values tie often; the leader is player 1 or the highest id."""
+    nf = int(rng.integers(1, 4))
+    leader = 1 if leader_first else nf + 1
+    followers = [p for p in range(1, nf + 2) if p != leader]
+    actions = {p: tuple("abcd"[: int(rng.integers(1, 5))]) for p in followers}
+    actions[leader] = tuple("wxyz"[:m_n])
+    edges = {}
+    for p in followers:
+        fol = rng.integers(0, 3, (len(actions[p]), m_n)).astype(float)
+        lead = rng.integers(-2, 3, (len(actions[p]), m_n)).astype(float)
+        edges[(p, leader) if p < leader else (leader, p)] = (fol, lead) if p < leader else (lead.T, fol.T)
+    return PolymatrixGame(tuple(range(1, nf + 2)), actions, leader, edges)
+
+
+def _reference_games(*fixtures):
+    """(game, grid resolution) of the trees the batched oracles are held
+    to their per-point reference on, the given fixtures first."""
+    games = [*fixtures] + [
+        random_oltpg(n, m, seed, kind=kind)
+        for kind in ("oltpg", "spg")
+        for n, m, seed in itertools.product((2, 3, 5), (2, 3, 4), (0, 1))
+    ]
+    games.append(clique_to_spg(Graph(5, ((1, 2), (1, 3), (2, 3), (3, 4), (4, 5)))))
+    for seed, kind, ml in ((0, "interdependent", 3), (1, "independent", 3), (2, "interdependent", 2)):
+        games.append(bg_to_polymatrix(random_bg(seed, kind=kind, ml=ml)))
+    games += [_rounded_tree(), *(_tied_tree(p) for p in (1, 2, 3))]
+    # the follower's actions differ by 5e-10 * t: tied within DEFAULT_TOL,
+    # not within supremum_1d's 1e-11 once t > 0.02
+    games.append(two_player_game([[1, 0], [1 - 5e-10, 0]], [[3, 2], [0, 1]]))
+    rng = np.random.default_rng(2018)
+    games += [_small_int_tree(rng, 2 + i % 3, i % 2 == 1) for i in range(40)]
+    return [(g, {2: 24, 3: 9, 4: 6}.get(g.num_actions(g.leader), 4)) for g in games]
+
+
+class TestMatchesReference:
+    """The block-scored tree grid, ``evaluate_commitment`` and
+    ``supremum_1d`` against their per-point forms in ``oracle_reference``:
+    the same value bits, witness bytes, skipped count and tie choices."""
+
+    def assert_grid_matches(self, game, k, mode):
+        got, want = grid_oracle(game, k, mode), reference.tree_grid_oracle(game, k, mode)
+        assert repr(got.value) == repr(want.value)
+        assert got.strategy.probs.tobytes() == want.strategy.probs.tobytes()
+        assert got.skipped == want.skipped
+
+    @pytest.mark.parametrize("mode", ["pessimistic", "optimistic"])
+    def test_grid_and_evaluation(self, mode, knife_edge_game, plateau_game):
+        rng = np.random.default_rng(7)
+        for game, k in _reference_games(knife_edge_game, plateau_game):
+            self.assert_grid_matches(game, k, mode)
+            m_n = game.num_actions(game.leader)
+            points = [*rng.dirichlet(np.ones(m_n), 10), *np.eye(m_n), np.full(m_n, 1 / m_n)]
+            for probs in points:
+                s = MixedStrategy(game.leader, probs)
+                got, want = evaluate_commitment(game, s, mode), reference.evaluate_commitment(game, s, mode)
+                assert (repr(got[0]), got[1]) == (repr(want[0]), want[1])
+
+    def test_supremum_1d(self, knife_edge_game, plateau_game):
+        rng = np.random.default_rng(1)
+        games = _reference_games(knife_edge_game, plateau_game)
+        two = [g for g, _ in games if g.num_actions(g.leader) == 2]
+        for game in two + [_small_int_tree(rng, 2, i % 2 == 1) for i in range(200)]:
+            got, want = supremum_1d(game), reference.supremum_1d(game)
+            assert (repr(got[0]), got[1]) == (repr(want[0]), want[1])
+
+    @pytest.mark.parametrize("mode", ["pessimistic", "optimistic"])
+    def test_grid_spanning_several_blocks(self, mode):
+        game = random_oltpg(2, 12, 0)
+        assert math.comb(6 + 11, 11) > 3 * _GRID_BLOCK
+        self.assert_grid_matches(game, 6, mode)
+        # every point ties at 0 or the two vertices at either end of the
+        # lattice order tie at 1: the first point in order is kept
+        for row in (np.zeros(12), np.eye(12)[0] + np.eye(12)[11]):
+            tied = two_player_game(np.zeros((1, 12)), [row], tuple(f"x{i}" for i in range(12)))
+            self.assert_grid_matches(tied, 6, mode)
+            assert grid_oracle(tied, 6, mode).strategy.probs.tolist() == [0.0] * 11 + [1.0]
 
 
 class TestGraph:
