@@ -49,7 +49,7 @@ class MixedStrategy:
     def validate(self, num_actions: int | None = None) -> None:
         p = self.probs
         if num_actions is not None and p.shape != (num_actions,):
-            raise ValueError(f"strategy has {p.shape[0]} entries, expected {num_actions}")
+            raise ValueError(f"strategy has shape {p.shape}, expected ({num_actions},)")
         # NaN compares false, so entries must pass a test of lying inside
         if not ((p >= -1e-12) & (p <= 1 + 1e-12)).all():
             raise ValueError("strategy entries must lie in [0, 1]")

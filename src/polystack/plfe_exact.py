@@ -12,8 +12,11 @@ follower is one type of the equivalent Bayesian game, so it is the bound
 HBGS puts on a partial type assignment. The LP bound (``_profile_lp``)
 maximizes the same payoff over the prefix's closed region; for a full
 profile it is the optimistic profile LP of the "multiple LPs" method, which
-bounds the max-min LP. It runs only where it can cut: once a result exists,
-on a node whose key is above the best value by more than ``_tie_margin``.
+bounds the max-min LP. It runs only where it can cut: once a best value
+exists, on a node whose key is above it by more than ``_tie_margin``; a node
+without rows needs no LP. apx's subgame searches start from the best
+subgame value so far, so a subgame that cannot win is cut by its bounds,
+typically at its root.
 One rule serves prefixes and full profiles, for PLFE and OLFE alike: such a
 node gets its LP bound first, and a full profile is solved (PLFE: its
 max-min LP; OLFE: its primal profile LP) only if it pops again. The search
@@ -532,12 +535,17 @@ def _profile_lp(blocks: _Blocks, combo: tuple, D: np.ndarray, d0: np.ndarray, bo
     with W = max_j c_j, this is max v s.t. (G^T y)_j + v <= W - c_j over
     y, v >= 0: every right-hand side is nonnegative, so the slack basis is
     feasible and phase 1 never runs, and every feasible point bounds the
-    value. An unbounded v means the region is empty."""
+    value. An unbounded v means the region is empty. A node without rows
+    (the root, or a prefix of followers whose actions all tie) needs no LP:
+    its value is W, bit for bit the dual's, whose only column v enters at a
+    row with right-hand side W - c_j = 0.0."""
     c = blocks.tail[len(combo)].copy()
     for p, a in zip(blocks.followers, combo):
         c += blocks.L[p][a]
     if bound:
         top = c.max()
+        if not len(D):
+            return float(top), None
         A_ub = np.ones((blocks.m_n, len(D) + 1))
         A_ub[:, :-1] = (D + d0[:, None]).T
         cost = np.zeros(len(D) + 1)
@@ -551,7 +559,9 @@ def _profile_lp(blocks: _Blocks, combo: tuple, D: np.ndarray, d0: np.ndarray, bo
     return None if got is None else (float(got[1]), MixedStrategy(blocks.game.leader, got[0]))
 
 
-def best_first(blocks: _Blocks, solve, time_limit: float | None = None):
+def best_first(
+    blocks: _Blocks, solve, time_limit: float | None = None, best: float = -math.inf
+):
     """Solves follower pure profiles whose best-response region has
     nonempty interior, best bound first, and keeps the results that are not
     None; a result's entry 0 is the profile's value. ``solve(combo, D, d0)``
@@ -561,11 +571,14 @@ def best_first(blocks: _Blocks, solve, time_limit: float | None = None):
 
     Branch and bound over prefixes of followers: a heap holds nodes, each a
     prefix keyed by an upper bound on the value of every profile extending
-    it, lexicographic among equal keys. One rule decides every node, the
-    root and full profiles included. A node is extended (``_Blocks.extend``,
+    it, lexicographic among equal keys. The best value so far starts at
+    ``best``: -inf, or a value the caller already holds (apx: the best
+    subgame value so far), so that only a profile that can come within
+    ``_tie_margin`` of it is solved. One rule decides every node, the root
+    and full profiles included. A node is extended (``_Blocks.extend``,
     whose rows come from the prefix alone) when it first pops. An empty
     region cuts off the node's subtree, which counts at its full size. Else,
-    if a result exists and the node's key is above the best value by more
+    if the best value is finite and the node's key is above it by more
     than ``_tie_margin``, so that a tighter bound can cut it,
     ``_profile_lp`` bounds it over its closed region: it goes back on the
     heap keyed by the lower of its key and that bound, ``_padded`` for LP
@@ -575,12 +588,13 @@ def best_first(blocks: _Blocks, solve, time_limit: float | None = None):
     full profile is handed to ``solve`` and a prefix's children join the
     heap, keyed by the lower of ``_Blocks.bound`` and the prefix's key.
 
-    Stops once the top key is below the best value so far by more than
+    Stops once the top key is below a finite best value so far by more than
     ``_tie_margin``: every profile left then falls short of ``contenders``,
-    and its subtree counts at full size. Once the time limit has passed,
-    stops before the next node provided one result exists. Returns (results
-    in lexicographic order, profiles solved, profiles covered, truncated).
-    Raises ValueError on a negative or NaN time limit.
+    and its subtree counts at full size. From a finite ``best`` this may
+    leave no result. Once the time limit has passed, stops before the next
+    node provided one result exists. Returns (results in lexicographic
+    order, profiles solved, profiles covered, truncated). Raises ValueError
+    on a negative or NaN time limit.
     """
     if time_limit is not None and not time_limit >= 0:
         raise ValueError(f"time limit must be a non-negative number, got {time_limit!r}")
@@ -590,13 +604,12 @@ def best_first(blocks: _Blocks, solve, time_limit: float | None = None):
     # point once extended); the root has no parent, so no point
     heap = [(-math.inf, (), None, None)]
     results = []
-    best = -math.inf
     found = covered = 0
     truncated = False
     while heap:
         neg_key, combo, s, node = heapq.heappop(heap)
         key = -neg_key
-        if results and key < best - _tie_margin(best):
+        if best > -math.inf and key < best - _tie_margin(best):
             covered = math.prod(sizes)
             break
         if results and deadline is not None and time.perf_counter() > deadline:
@@ -608,7 +621,7 @@ def best_first(blocks: _Blocks, solve, time_limit: float | None = None):
             if node is None:
                 covered += math.prod(sizes[depth:])
                 continue
-            if results and key > best + _tie_margin(best):
+            if best > -math.inf and key > best + _tie_margin(best):
                 got = _profile_lp(blocks, combo, *node[:2], bound=True)
                 if got is not None:
                     key = min(key, _padded(got[0]))
@@ -628,14 +641,17 @@ def best_first(blocks: _Blocks, solve, time_limit: float | None = None):
     return [result for _, result in results], found, covered, truncated
 
 
-def _search(blocks: _Blocks, time_limit: float | None = None):
-    """PLFE's search: ``best_first`` with max-min LPs, its results narrowed to ``contenders``."""
+def _search(blocks: _Blocks, time_limit: float | None = None, best: float = -math.inf):
+    """PLFE's search: ``best_first`` with max-min LPs, its results narrowed to
+    ``contenders``; none when a finite starting ``best`` cut every profile."""
 
     def work(combo, D, d0):
         v, s = _max_min(blocks, combo, D)
         return v, combo, s
 
-    results, *counts = best_first(blocks, work, time_limit)
+    results, *counts = best_first(blocks, work, time_limit, best)
+    if not results and best > -math.inf:
+        return [], *counts
     if not results:
         raise SolverFailure(
             "no follower profile has a full-dimensional best-response region; "

@@ -2,7 +2,8 @@
 
 Run from the repository root with ``PYTHONPATH=src python tests/lp_digest.py``.
 It prints the number of games, the number of ``lp_core.maximize`` calls
-with their count per calling function (the LP kinds of ``test_lp_kinds``),
+with their count per calling function (the LP kinds of ``test_lp_kinds``)
+and per solve mode, so a change shows which solver it moved,
 the number of simplex pivots, the number of tableau cells those pivots
 update (the sum of ``T.size`` over every pivot), the number of calls that
 run phase 1 (those with an equality row or a negative right-hand side,
@@ -62,9 +63,9 @@ def digest():
     """(number of games, ``maximize`` calls per calling function, sha256 hex
     of every LP, sha256 hex of every ``solve`` output, number of pivots,
     number of tableau cells the pivots update, number of calls that run
-    phase 1) over ``games()``."""
+    phase 1, ``maximize`` calls per solve mode) over ``games()``."""
     lp_hash, cli_hash = hashlib.sha256(), hashlib.sha256()
-    callers = collections.Counter()
+    callers, per_mode = collections.Counter(), collections.Counter()
     maximize, pivot = lp_core.maximize, lp_core._pivot
     pivots = cells = phase1 = 0
 
@@ -77,6 +78,7 @@ def digest():
     def recorded(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
         nonlocal phase1
         callers[sys._getframe(1).f_code.co_name] += 1
+        per_mode[mode] += 1
         if (A_eq is not None and len(A_eq)) or (b_ub is not None and (np.asarray(b_ub) < 0).any()):
             phase1 += 1
         res = maximize(c, A_ub, b_ub, A_eq, b_eq)
@@ -99,15 +101,16 @@ def digest():
                     cli_hash.update(f"{code}\0{out}\0{err}\0".encode())
     finally:
         lp_core.maximize, lp_core._pivot = maximize, pivot
-    return count, callers, lp_hash.hexdigest(), cli_hash.hexdigest(), pivots, cells, phase1
+    return count, callers, lp_hash.hexdigest(), cli_hash.hexdigest(), pivots, cells, phase1, per_mode
 
 
 def main():
-    count, callers, lp, cli, pivots, cells, phase1 = digest()
+    count, callers, lp, cli, pivots, cells, phase1, per_mode = digest()
     kinds = " ".join(f"{name}={n}" for name, n in sorted(callers.items()))
+    modes = " ".join(f"{name}={n}" for name, n in sorted(per_mode.items()))
     print(
-        f"games {count} calls {sum(callers.values())} ({kinds}) pivots {pivots} cells {cells}"
-        f" phase1 {phase1} lp {lp} cli {cli}"
+        f"games {count} calls {sum(callers.values())} ({kinds}) modes ({modes}) pivots {pivots}"
+        f" cells {cells} phase1 {phase1} lp {lp} cli {cli}"
     )
 
 

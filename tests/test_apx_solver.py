@@ -40,20 +40,28 @@ def _reference_apx(game, alpha=1e-6):
     return ApxReport(result, best_p, best.value, bound, nonneg)
 
 
-def _tied_contenders_game(c):
+def _tied_contenders_game(c, swapped=False):
     """Two followers against three leader actions. Follower 1's subgame has
     two contenders, 1 unattained and 1 - 5e-10 attained, so its value is
-    1 - 5e-10; follower 2's has one, c, attained."""
+    1 - 5e-10; follower 2's has one, c, attained. ``swapped`` swaps the
+    followers' subgames, so the tied one is searched against c."""
     br = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
+    tied = (br, np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 1 - 5e-10]]))
+    single = (br, np.array([[c, c, c], [0.0, 0.0, 0.0]]))
+    first, second = (single, tied) if swapped else (tied, single)
     return PolymatrixGame(
         (1, 2, 3),
         {1: ("a", "b"), 2: ("a", "b"), 3: ("x", "y", "z")},
         3,
-        {
-            (1, 3): (br, np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 1 - 5e-10]])),
-            (2, 3): (br, np.array([[c, c, c], [0.0, 0.0, 0.0]])),
-        },
+        {(1, 3): first, (2, 3): second},
     )
+
+
+def _rounded(game):
+    """The game with every payoff x mapped to round(x / 25), so that
+    followers' subgames tie in value."""
+    edges = {key: tuple(np.round(mat / 25) for mat in mats) for key, mats in game.edges.items()}
+    return PolymatrixGame(game.player_ids, game.actions, game.leader, edges)
 
 
 def _reference_games():
@@ -63,6 +71,10 @@ def _reference_games():
                 for seed in range(3):
                     game = random_oltpg(n, m, seed, kind=kind)
                     yield pytest.param(game, id=f"{kind}-{n}-{m}-{seed}")
+                    yield pytest.param(_rounded(game), id=f"rounded-{kind}-{n}-{m}-{seed}")
+    # later subgames are cut by their bounds, on the first two at their roots
+    for args in ((6, 4, 1001), (7, 4, 1001), (10, 8, 0)):
+        yield pytest.param(random_oltpg(*args), id="random-{}-{}-{}".format(*args))
     # conftest's knife_edge_game: its supremum is not attained
     yield pytest.param(two_player_game([[1, 0], [0, 1]], [[0, 1], [0, 0]]), id="knife-edge")
     yield pytest.param(_rounded_tree(), id="rounded-tree")
@@ -72,6 +84,10 @@ def _reference_games():
     # follower 1's value decides the winner only if read from its attained contender
     yield pytest.param(_tied_contenders_game(1 - 2.5e-10), id="tied-contenders-lose")
     yield pytest.param(_tied_contenders_game(1 - 7.5e-10), id="tied-contenders-win")
+    # the tied subgame's contenders straddle the best value so far, c
+    for c, outcome in ((1 - 2.5e-10, "lose"), (1 - 7.5e-10, "win")):
+        game = _tied_contenders_game(c, swapped=True)
+        yield pytest.param(game, id=f"tied-contenders-second-{outcome}")
 
 
 @pytest.mark.parametrize("game", list(_reference_games()))
@@ -106,6 +122,15 @@ def test_only_the_winner_is_finished(lp_calls, game):
     for kind in ("_attainment", "_find_apx"):
         assert apx[kind] == alone[kind], kind
     assert alone["_attainment"] > 0
+
+
+@pytest.mark.parametrize("args", [(6, 4, 1001), (7, 4, 1001)])
+def test_losing_subgames_run_no_lp(lp_calls, args):
+    # follower 1's subgame wins and needs one max-min LP; every other
+    # subgame's root bound, read without an LP, falls below its value. A
+    # search of every subgame to its end ran 15 and 16 LPs here
+    assert solve_plfe_apx(random_oltpg(*args)).best_follower == 1
+    assert sorted(name for name, _, _ in lp_calls) == ["_attainment", "_max_min"]
 
 
 def test_single_follower_matches_exact():

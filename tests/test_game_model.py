@@ -278,5 +278,14 @@ class TestMixedStrategy:
             MixedStrategy(1, np.array([0.3, 0.3])).validate(2)
 
     def test_bad_length(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^strategy has shape \(1,\), expected \(2,\)$"):
             MixedStrategy(1, np.array([1.0])).validate(2)
+
+    @pytest.mark.parametrize(
+        "probs, shape",
+        [(np.float64(0.5), r"\(\)"), (np.array([[0.5, 0.5]]), r"\(1, 2\)"), (np.zeros((0,)), r"\(0,\)")],
+    )
+    def test_bad_shape_is_named(self, probs, shape):
+        # a 0-d strategy used to raise IndexError, a (1, 2) one to read "1 entries"
+        with pytest.raises(ValueError, match=rf"^strategy has shape {shape}, expected \(2,\)$"):
+            MixedStrategy(2, probs).validate(2)

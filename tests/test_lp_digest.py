@@ -2,9 +2,9 @@
 
 A change that skips or reorders LPs may move the digest's ``calls`` and
 ``lp``; its ``cli`` hash, over every exit code, stdout and stderr, must not
-move. Nor may any LP kind's call count rise above its ceiling, so a change
-that adds LPs of one kind fails by that kind's name, nor may the pivots or
-the LPs that run phase 1 rise above theirs.
+move. Nor may any LP kind's or solve mode's call count rise above its
+ceiling, so a change that adds LPs of one kind or to one solver fails by
+that name, nor may the pivots or the LPs that run phase 1 rise above theirs.
 """
 
 import pytest
@@ -13,26 +13,28 @@ from lp_digest import digest
 
 CLI_SHA256 = "a0b2a68cdbce8e36e32ed0ac94ffb48157741fff500134887409c0521c3792a0"
 
-# calls per LP kind in the digest's line once the margin LPs started at their
-# best pure leader strategy, which answers most prefilters without an LP,
-# every node past depth one tried its prefilter's point before its own LP, and
-# OLFE's full profiles took the dual bound before their primal profile LP, as
-# PLFE's do: each losing leaf's primal became one dual, and the winner gained
-# one dual, so _profile_lp rose from 1,126
+# calls per LP kind in the digest's line once apx searched each follower's
+# subgame against the best subgame value so far: _max_min fell from 383 and
+# _strict_eps_lp from 552, while _profile_lp rose from 1,201, since a subgame
+# that cannot win now takes bound LPs where it used to take max-min LPs
 CEILINGS = {
     "_attainment": 212,
     "_emptiness": 985,
     "_find_apx": 51,
-    "_max_min": 383,
-    "_profile_lp": 1201,
-    "_strict_eps_lp": 552,
+    "_max_min": 270,
+    "_profile_lp": 1207,
+    "_strict_eps_lp": 532,
 }
 
+# calls per solve mode: apx fell from 562; each other mode fell by one, the
+# bound LP of a prefix without rows in test_golden's tied-f1-4x3, now read
+# without an LP
+MODE_CEILINGS = {"apx": 438, "optimistic": 851, "pessimistic": 1038, "pure-olfe": 930}
+
 # simplex pivots, and LPs that run phase 1, over the digest's LPs; both fell
-# (from 13,977 and 1,034) when OLFE's losing leaves traded a two-phase primal
-# for a dual that starts feasible
-PIVOTS = 13861
-PHASE1 = 891
+# (from 13,861 and 891) with apx's max-min LPs
+PIVOTS = 13156
+PHASE1 = 778
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +53,15 @@ def test_lp_calls_within_ceiling(digested, kind):
 
 def test_no_lp_kind_without_ceiling(digested):
     assert set(digested[1]) <= set(CEILINGS)
+
+
+@pytest.mark.parametrize("mode", sorted(MODE_CEILINGS))
+def test_mode_lp_calls_within_ceiling(digested, mode):
+    assert digested[7][mode] <= MODE_CEILINGS[mode]
+
+
+def test_no_mode_without_ceiling(digested):
+    assert set(digested[7]) <= set(MODE_CEILINGS)
 
 
 def test_pivots_within_ceiling(digested):

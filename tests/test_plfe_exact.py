@@ -529,9 +529,9 @@ class TestSearchProfiles:
         assert r.profile == dict(zip(game.followers, first))
 
 
-def _solve_every_profile(blocks, solve, time_limit=None):
+def _solve_every_profile(blocks, solve, time_limit=None, best=-math.inf):
     """``best_first`` without its search or its bounds: solves every profile
-    of ``_flat_survivors``, in lexicographic order."""
+    of ``_flat_survivors``, in lexicographic order, whatever the starting best."""
     combos = _flat_survivors(blocks.game)
     results = [r for r in (solve(combo, *blocks.rows(combo)) for combo in combos) if r is not None]
     total = math.prod(blocks.game.num_actions(p) for p in blocks.followers)
@@ -561,6 +561,24 @@ def _tie_games():
         for m in range(2, 5):
             for seed in range(3):
                 yield pytest.param(_rounded_spg(n, m, seed), id=f"spg-{n}-{m}-{seed}")
+
+
+# the LP kinds plfe_exact._search runs from the default best, run-length coded
+_DEFAULT_BEST_LPS = {
+    (3, 5, 0): [
+        ("_strict_eps_lp", 1), ("_emptiness", 1), ("_max_min", 1), ("_emptiness", 1),
+        ("_profile_lp", 1), ("_strict_eps_lp", 1), ("_profile_lp", 1), ("_strict_eps_lp", 1),
+        ("_emptiness", 1), ("_profile_lp", 2),
+    ],
+    (4, 3, 2): [
+        ("_strict_eps_lp", 1), ("_emptiness", 2), ("_max_min", 1), ("_profile_lp", 2),
+        ("_emptiness", 1), ("_profile_lp", 1), ("_emptiness", 2), ("_profile_lp", 1),
+    ],
+    (7, 4, 1001): [
+        ("_strict_eps_lp", 1), ("_emptiness", 1), ("_strict_eps_lp", 1), ("_emptiness", 1),
+        ("_strict_eps_lp", 1), ("_emptiness", 2), ("_max_min", 1),
+    ],
+}
 
 
 class TestBestFirst:
@@ -610,6 +628,36 @@ class TestBestFirst:
                 assert v <= bound, (prefix, form)
                 if len(prefix) == n:
                     assert plfe_exact._max_min(blocks, prefix, D)[0] <= bound, (prefix, form)
+
+    @pytest.mark.parametrize("args", [(5, 6, 1), (4, 8, 2), (3, 14, 1001)])
+    def test_starting_best_above_every_value_cuts_every_profile(self, lp_calls, args):
+        # the optimistic value bounds every profile's max-min value, so no
+        # profile, padded bound included, comes within the tie margin of it + 1
+        game = random_oltpg(*args)
+        best = solve_olfe(game).value + 1.0
+        lp_calls.clear()
+        results, found, covered, truncated = plfe_exact._search(_Blocks(game), best=best)
+        assert results == [] and found == 0 and not truncated
+        assert covered == math.prod(game.num_actions(p) for p in game.followers)
+        assert not any(name == "_max_min" for name, _, _ in lp_calls)
+
+    def test_starting_best_above_the_root_bound_runs_no_lp(self, lp_calls):
+        # the root has no rows, so its bound is the leader's best pure
+        # payoff summed over followers, read without an LP
+        game = random_oltpg(5, 6, 1)
+        blocks = _Blocks(game)
+        results, found, covered, truncated = best_first(
+            blocks, lambda combo, D, d0: (0.0, combo), best=blocks.tail[0].max() + 1.0
+        )
+        assert results == [] and found == 0 and covered == 6**4 and not truncated
+        assert lp_calls == []
+
+    @pytest.mark.parametrize("args", sorted(_DEFAULT_BEST_LPS))
+    def test_default_best_keeps_the_lp_sequence(self, lp_calls, args):
+        # the LP kinds _search ran, in order, before best_first took a starting best
+        plfe_exact._search(_Blocks(random_oltpg(*args)))
+        kinds = [(k, len(list(run))) for k, run in itertools.groupby(n for n, _, _ in lp_calls)]
+        assert kinds == _DEFAULT_BEST_LPS[args]
 
     def test_margin_lp_budget(self, lp_calls):
         # a search of every prefix ran 5,490 margin LPs here; the bound
