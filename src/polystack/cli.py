@@ -93,7 +93,7 @@ def _read_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DomainError(f"malformed JSON in {path}: {exc}") from exc
 
 

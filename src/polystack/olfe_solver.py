@@ -15,28 +15,18 @@ also depend on her follower neighbours' actions; a prefix of followers
 bounds that dependence over every completion, so an empty prefix region
 still cuts off its subtree. A prefix's upper bound on the value of every
 profile extending it orders the search, which stops once no prefix left
-can win. Where it can cut, that bound is the value of the profile LP
+can win; where it can cut, that bound is the profile LP
 (``plfe_exact._profile_lp``) over the node's closed region, with each
-unassigned follower's best leader payoff in the objective, read from the
-LP's dual, which starts at a feasible basis and needs no phase 1. The
-search decides a full profile by the same rule as a prefix, for OLFE as
-for PLFE: where it can cut, the profile takes the dual bound first, and
-only if it pops again is it solved by the primal profile LP, whose vertex
-is the strategy.
+unassigned follower's best leader payoff in the objective. Each full
+profile the search does not cut is solved by the primal profile LP, whose
+vertex is the strategy.
 """
 
 from __future__ import annotations
 
 from . import plfe_exact
 from .game_model import PolymatrixGame
-from .plfe_exact import (
-    LfeResult,
-    SolverFailure,
-    _Blocks,
-    best_first,
-    contenders,
-    within_simplex,
-)
+from .plfe_exact import LfeResult, SolverFailure, _Blocks, best_first, within_simplex
 
 
 class NoPureCommitmentError(RuntimeError):
@@ -53,19 +43,16 @@ def solve_olfe(game: PolymatrixGame, time_limit: float | None = None) -> LfeResu
     profile whose dual LP bound falls short is never solved. A time limit
     truncates the search after it and flags the result as incomplete."""
     blocks = _Blocks(game)
-
-    def work(combo, D, d0):
-        got = plfe_exact._profile_lp(blocks, combo, D, d0)
-        return None if got is None else (got[0], combo, got[1])
-
-    results, inducible, processed, truncated = best_first(blocks, work, time_limit)
+    results, inducible, processed, truncated = best_first(
+        blocks, lambda combo, D, d0: plfe_exact._profile_lp(blocks, combo, D, d0), time_limit
+    )
     if not results:
         if game.is_one_level_tree():
             raise SolverFailure("one-level tree games always admit an inducible profile")
         raise NoPureCommitmentError(
             "no commitment makes any follower profile a pure Nash equilibrium"
         )
-    v, combo, s = contenders(results)[0]
+    v, combo, s = results[0]
     return LfeResult(
         value=float(v),
         strategy=within_simplex(s),

@@ -3,47 +3,35 @@
 Keeps the follower pure-action profiles whose best-response region has
 nonempty interior, and picks the one whose max-min LP has the highest
 value. One best-first branch and bound over prefixes of followers
-(``best_first``) finds and solves them. A profile's region is the
-intersection of its followers' regions, so a prefix whose region is
-already empty cuts off every profile that extends it. Two upper bounds on
-the value of every profile extending a prefix order the search. The free
-one (``_Blocks.bound``) ignores the region: on a one-level tree each
-follower is one type of the equivalent Bayesian game, so it is the bound
-HBGS puts on a partial type assignment. The LP bound (``_profile_lp``)
-maximizes the same payoff over the prefix's closed region; for a full
-profile it is the optimistic profile LP of the "multiple LPs" method, which
-bounds the max-min LP. It runs only where it can cut: once a best value
-exists, on a node whose key is above it by more than ``_tie_margin``; a node
-without rows needs no LP. apx's subgame searches start from the best
-subgame value so far, so a subgame that cannot win is cut by its bounds,
-typically at its root.
-One rule serves prefixes and full profiles, for PLFE and OLFE alike: such a
-node gets its LP bound first, and a full profile is solved (PLFE: its
-max-min LP; OLFE: its primal profile LP) only if it pops again. The search
-stops once no prefix left can come within ``VALUE_TIE_TOL`` of the best
-value found. When the optimum is a supremum rather than a maximum (some
-follower can tie with an action that hurts the leader), an additive
-alpha-approximate strategy is computed instead of the unattainable exact
-one.
+(``best_first``) finds and solves them, for PLFE and OLFE alike. A
+profile's region is the intersection of its followers' regions, so a
+prefix whose region is already empty cuts off every profile that extends
+it. Two upper bounds on the value of every profile extending a prefix
+order the search. The free one (``_Blocks.bound``) ignores the region: on
+a one-level tree each follower is one type of the equivalent Bayesian
+game, so it is the bound HBGS puts on a partial type assignment. The LP
+bound (``_profile_lp``) maximizes the same payoff over the prefix's closed
+region; for a full profile it is the optimistic profile LP of the
+"multiple LPs" method, which bounds the max-min LP. apx's subgame searches
+start from the best subgame value so far, so a subgame that cannot win is
+cut by its bounds, typically at its root. When the optimum is a supremum
+rather than a maximum (some follower can tie with an action that hurts the
+leader), an additive alpha-approximate strategy is computed instead of the
+unattainable exact one.
 
-One rule decides every node, the root included (``_Blocks.extend``).
-Neither search LP runs phase 1. A margin LP (the prefilter's
-``_strict_eps_lp`` and a node's ``_emptiness``) starts at its best pure
-leader strategy, whose margin is read off the rows (``_pure_start``), and
-needs no LP at all when that strategy clears every row by the cap. The
-bound reads only a value, so ``_profile_lp`` takes it from its dual, whose
-slack basis is feasible. Only the winner's max-min, attainment and
-``find_apx`` vertices reach the output, so these forms change no answer.
+The search's margin LPs (the prefilter's ``_strict_eps_lp`` and a node's
+``_emptiness``) start at a pure leader strategy (``_pure_start``), and its
+bound LP is the dual of ``_profile_lp``. Only the winner's max-min,
+attainment and ``find_apx`` vertices reach the output, so these forms
+change no answer.
 
 The per-profile LPs take a profile as a ``combo``, its actions in
 ``game.followers`` order, as the search yields it; only ``find_apx`` reads a
 profile dict. ``_optimum`` reads every LP result, raising a ``SolverFailure``
-that names the LP. ``contenders`` is the winner rule of PLFE and OLFE: the
-results within ``VALUE_TIE_TOL`` of the best, in lexicographic order. PLFE
-takes the first attained one, else the first (``_finish``, shared with apx);
-OLFE takes the first. ``best_first`` solves every profile that can be a
-contender and returns its results in lexicographic order, so the rule picks
-the profile it would pick among all of them.
+that names the LP. ``best_first`` returns the contenders, the profiles
+that tie the best value, as (value, combo, strategy) in lexicographic
+order. PLFE takes the first attained one, else the first (``_finish``,
+shared with apx); OLFE takes the first.
 """
 
 from __future__ import annotations
@@ -241,26 +229,6 @@ class _Blocks:
         return None if eps <= EPS_TOL else (D, d0, s)
 
 
-def margin_lp(D: np.ndarray, m_n: int, d0: np.ndarray):
-    """Arguments of ``lp_core.maximize`` for the margin LP over (s, eps):
-    max eps s.t. D s - eps >= -d0, eps <= 1, sum s = 1, s >= 0. Only
-    ``_find_apx`` solves it in this form; the search's margin LPs solve it
-    from a pure leader strategy (``_pure_start``)."""
-    k = D.shape[0]
-    c = np.zeros(m_n + 1)
-    c[-1] = 1.0
-    A_ub = np.zeros((k + 1, m_n + 1))
-    A_ub[:k, :m_n] = -D
-    A_ub[:k, -1] = 1.0
-    A_ub[k, -1] = 1.0
-    b_ub = np.zeros(k + 1)
-    b_ub[:k] = d0
-    b_ub[k] = 1.0
-    A_eq = np.zeros((1, m_n + 1))
-    A_eq[0, :m_n] = 1.0
-    return c, A_ub, b_ub, A_eq, [1.0]
-
-
 def _optimum(res: lp_core.DenseResult, lp: str, detail: str = "", infeasible: bool = False):
     """(x, objective) of an optimal LP result; None for an infeasible one if
     ``infeasible``. Else raises a SolverFailure naming the LP, plus detail."""
@@ -272,11 +240,11 @@ def _optimum(res: lp_core.DenseResult, lp: str, detail: str = "", infeasible: bo
 
 
 def _pure_start(D: np.ndarray, d0: np.ndarray, m_n: int):
-    """The margin LP of ``margin_lp`` started at its best pure leader
-    strategy: (mu, j, lp). On the simplex D s + d0 = G s with G = D +
-    d0[:, None], so pure strategy e_j clears every row by mu_j = min_i
-    G[i, j]; j is the first index of the largest, mu that largest (1.0 with
-    no rows). ``lp`` is None when mu >= 1 reaches the cap. Else it is the
+    """The margin LP over (s, eps), max eps s.t. D s + d0 >= eps, eps <= 1,
+    s in the simplex, started at its best pure leader strategy: (mu, j,
+    lp). On the simplex D s + d0 = G s with G = D + d0[:, None], so pure
+    strategy e_j clears every row by mu_j = min_i G[i, j]; j is the first
+    index of the largest, mu that largest (1.0 with no rows). ``lp`` is None when mu >= 1 reaches the cap. Else it is the
     arguments of ``lp_core.maximize`` over (s_l for l != j, e'), with s_j =
     1 - sum s_l and eps = mu + e':
     sum_l (G[i, j] - G[i, l]) s_l + e' <= G[i, j] - mu, e' <= 1 - mu and
@@ -475,18 +443,26 @@ def find_apx(
 
 
 def _find_apx(blocks: _Blocks, combo: tuple, D: np.ndarray, v_star: float, alpha: float):
-    """The margin LP over D with the leader's pessimistic value held at
-    v_star - alpha: columns [s, eps, v+, v-], below the tie rows and the
-    value row."""
+    """The margin LP over D, max eps s.t. D s >= eps, eps <= 1, s in the
+    simplex, with the leader's pessimistic value held at v_star - alpha.
+    Columns [s, eps, v+, v-]; rows: the tie rows, the value row, the margin
+    rows [-D | 1 | 0] and eps <= 1."""
     m_n = blocks.m_n
     nf = len(blocks.followers)
     ncols = m_n + 1 + 2 * nf
-    c, A_ub, b_ub, A_eq, b_eq = margin_lp(D, m_n, 0.0)
-    c, A_ub, A_eq = (np.hstack([X, np.zeros(X.shape[:-1] + (2 * nf,))]) for X in (c, A_ub, A_eq))
     tie_rows = _tie_rows(blocks, combo, ncols, m_n + 1)
-    A_ub = np.vstack([tie_rows, _value_row(ncols, m_n + 1, nf), A_ub])
-    b_ub = np.concatenate([np.zeros(len(tie_rows)), [-(v_star - alpha)], b_ub])
-    res = lp_core.maximize(c, A_ub, b_ub, A_eq, b_eq)
+    margin = np.zeros((len(D) + 1, ncols))
+    margin[:-1, :m_n] = -D
+    margin[:, m_n] = 1.0
+    A_ub = np.vstack([tie_rows, _value_row(ncols, m_n + 1, nf), margin])
+    b_ub = np.zeros(len(A_ub))
+    b_ub[len(tie_rows)] = -(v_star - alpha)
+    b_ub[-1] = 1.0
+    c = np.zeros(ncols)
+    c[m_n] = 1.0
+    A_eq = np.zeros((1, ncols))
+    A_eq[0, :m_n] = 1.0
+    res = lp_core.maximize(c, A_ub, b_ub, A_eq, [1.0])
     profile = dict(zip(blocks.followers, combo))
     x, _ = _optimum(res, "approximation", f" (profile {profile}, v*={v_star}, alpha={alpha})")
     return MixedStrategy(blocks.game.leader, x[:m_n])
@@ -500,12 +476,6 @@ def within_simplex(s: MixedStrategy) -> MixedStrategy:
         return s
     except ValueError:
         return MixedStrategy(s.player_id, np.clip(s.probs, 0.0, 1.0))
-
-
-def contenders(results: list) -> list:
-    """Results within VALUE_TIE_TOL of the best value (entry 0), in lexicographic order."""
-    best = max(r[0] for r in results)
-    return [r for r in results if r[0] >= best - VALUE_TIE_TOL]
 
 
 def _tie_margin(best: float) -> float:
@@ -529,13 +499,13 @@ def _profile_lp(blocks: _Blocks, combo: tuple, D: np.ndarray, d0: np.ndarray, bo
     their regions lie in its closed region, and each follower's term in
     either is at most L[p][a_p] s, at most (max_a L[p][a]) s entrywise.
 
-    With ``bound``, for a caller that reads only the value, it is (value,
-    None) of the dual: with G = D + d0[:, None] the region is G s >= 0, and
-    the value is min over y >= 0 of max_j (c + G^T y)_j. Written as W - v
-    with W = max_j c_j, this is max v s.t. (G^T y)_j + v <= W - c_j over
-    y, v >= 0: every right-hand side is nonnegative, so the slack basis is
-    feasible and phase 1 never runs, and every feasible point bounds the
-    value. An unbounded v means the region is empty. A node without rows
+    With ``bound``, for a caller that reads only the value, it is the value
+    alone, or None for an empty region, from the dual: with G = D +
+    d0[:, None] the region is G s >= 0, and the value is min over y >= 0 of
+    max_j (c + G^T y)_j. Written as W - v with W = max_j c_j, this is max v
+    s.t. (G^T y)_j + v <= W - c_j over y, v >= 0: every right-hand side is
+    nonnegative, so the slack basis is feasible and phase 1 never runs, and
+    every feasible point bounds the value. An unbounded v means the region is empty. A node without rows
     (the root, or a prefix of followers whose actions all tie) needs no LP:
     its value is W, bit for bit the dual's, whose only column v enters at a
     row with right-hand side W - c_j = 0.0."""
@@ -545,7 +515,7 @@ def _profile_lp(blocks: _Blocks, combo: tuple, D: np.ndarray, d0: np.ndarray, bo
     if bound:
         top = c.max()
         if not len(D):
-            return float(top), None
+            return float(top)
         A_ub = np.ones((blocks.m_n, len(D) + 1))
         A_ub[:, :-1] = (D + d0[:, None]).T
         cost = np.zeros(len(D) + 1)
@@ -553,7 +523,7 @@ def _profile_lp(blocks: _Blocks, combo: tuple, D: np.ndarray, d0: np.ndarray, bo
         res = lp_core.maximize(cost, A_ub, top - c)
         if res.status is lp_core.LpStatus.UNBOUNDED:
             return None
-        return float(top - _optimum(res, "profile bound")[1]), None
+        return float(top - _optimum(res, "profile bound")[1])
     A_eq = np.ones((1, blocks.m_n))
     got = _optimum(lp_core.maximize(c, -D, d0, A_eq, [1.0]), "optimistic profile", infeasible=True)
     return None if got is None else (float(got[1]), MixedStrategy(blocks.game.leader, got[0]))
@@ -563,11 +533,11 @@ def best_first(
     blocks: _Blocks, solve, time_limit: float | None = None, best: float = -math.inf
 ):
     """Solves follower pure profiles whose best-response region has
-    nonempty interior, best bound first, and keeps the results that are not
-    None; a result's entry 0 is the profile's value. ``solve(combo, D, d0)``
-    gives a result from ``combo``, the tuple of actions in
-    ``game.followers`` order, and (D, d0), the profile's stacked margin
-    rows; its value must be at most the profile's ``_profile_lp`` value.
+    nonempty interior, best bound first, and returns the contenders among
+    them. ``solve(combo, D, d0)`` gives (value, strategy), or None, from
+    ``combo``, the tuple of actions in ``game.followers`` order, and (D,
+    d0), the profile's stacked margin rows; the value must be at most the
+    profile's ``_profile_lp`` value.
 
     Branch and bound over prefixes of followers: a heap holds nodes, each a
     prefix keyed by an upper bound on the value of every profile extending
@@ -583,18 +553,19 @@ def best_first(
     ``_profile_lp`` bounds it over its closed region: it goes back on the
     heap keyed by the lower of its key and that bound, ``_padded`` for LP
     error. Only that value is read, so the bound comes from the dual
-    (``bound=True``), which starts feasible and needs no phase 1; any of its
-    feasible points bounds the value. Otherwise, or when it pops again, a
-    full profile is handed to ``solve`` and a prefix's children join the
-    heap, keyed by the lower of ``_Blocks.bound`` and the prefix's key.
+    (``bound=True``), any of whose feasible points bounds the value.
+    Otherwise, or when it pops again, a full profile is handed to ``solve``
+    and a prefix's children join the heap, keyed by the lower of
+    ``_Blocks.bound`` and the prefix's key.
 
     Stops once the top key is below a finite best value so far by more than
-    ``_tie_margin``: every profile left then falls short of ``contenders``,
+    ``_tie_margin``: every profile left then falls short of the contenders,
     and its subtree counts at full size. From a finite ``best`` this may
-    leave no result. Once the time limit has passed, stops before the next
-    node provided one result exists. Returns (results in lexicographic
-    order, profiles solved, profiles covered, truncated). Raises ValueError
-    on a negative or NaN time limit.
+    leave no contender. Once the time limit has passed, stops before the
+    next node provided one profile has a value. Returns (contenders, profiles
+    solved, profiles covered, truncated); the contenders are the (value,
+    combo, strategy) within ``VALUE_TIE_TOL`` of the best value, in
+    lexicographic order. Raises ValueError on a negative or NaN time limit.
     """
     if time_limit is not None and not time_limit >= 0:
         raise ValueError(f"time limit must be a non-negative number, got {time_limit!r}")
@@ -624,7 +595,7 @@ def best_first(
             if best > -math.inf and key > best + _tie_margin(best):
                 got = _profile_lp(blocks, combo, *node[:2], bound=True)
                 if got is not None:
-                    key = min(key, _padded(got[0]))
+                    key = min(key, _padded(got))
                 heapq.heappush(heap, (-key, combo, s, node))
                 continue
         if depth < len(sizes):
@@ -633,31 +604,27 @@ def best_first(
         else:
             found += 1
             covered += 1
-            result = solve(combo, *node[:2])
-            if result is not None:
-                results.append((combo, result))
-                best = max(best, result[0])
-    results.sort(key=lambda item: item[0])
-    return [result for _, result in results], found, covered, truncated
+            got = solve(combo, *node[:2])
+            if got is not None:
+                results.append((got[0], combo, got[1]))
+                best = max(best, got[0])
+    results.sort(key=lambda r: r[1])
+    top = max((r[0] for r in results), default=-math.inf)
+    return [r for r in results if r[0] >= top - VALUE_TIE_TOL], found, covered, truncated
 
 
 def _search(blocks: _Blocks, time_limit: float | None = None, best: float = -math.inf):
-    """PLFE's search: ``best_first`` with max-min LPs, its results narrowed to
-    ``contenders``; none when a finite starting ``best`` cut every profile."""
-
-    def work(combo, D, d0):
-        v, s = _max_min(blocks, combo, D)
-        return v, combo, s
-
-    results, *counts = best_first(blocks, work, time_limit, best)
-    if not results and best > -math.inf:
-        return [], *counts
-    if not results:
+    """PLFE's search: ``best_first`` with max-min LPs. It finds no contender
+    only when a finite starting ``best`` cut every profile."""
+    contenders, *counts = best_first(
+        blocks, lambda combo, D, d0: _max_min(blocks, combo, D), time_limit, best
+    )
+    if not contenders and best == -math.inf:
         raise SolverFailure(
             "no follower profile has a full-dimensional best-response region; "
             "the leader simplex must be covered, so this is a solver defect"
         )
-    return contenders(results), *counts
+    return contenders, *counts
 
 
 def _first_attained(blocks: _Blocks, best: list, tried: list) -> int | None:

@@ -226,18 +226,18 @@ def test_criterion_7_scaling_shape():
     t0 = time.perf_counter()
     ns = [3, 4, 5, 6]
     ms = [2, 4, 6, 8]
-    means = {}
+    times = {(n, m): [] for n in ns for m in ms}
     ok = True
-    for n in ns:
-        for m in ms:
-            times = []
-            for seed in range(20):
-                g = random_oltpg(n, m, seed)
-                t1 = time.perf_counter()
-                r = solve_plfe(g, time_limit=60.0)
-                times.append(time.perf_counter() - t1)
-                ok &= r.anytime_complete and r.profiles_enumerated == m ** (n - 1)
-            means[(n, m)] = sum(times) / len(times)
+    # seed by seed, every cell in turn, so that a change of the host's
+    # speed during the run slows every cell alike
+    for seed in range(20):
+        for n, m in times:
+            g = random_oltpg(n, m, seed)
+            t1 = time.perf_counter()
+            r = solve_plfe(g, time_limit=60.0)
+            times[(n, m)].append(time.perf_counter() - t1)
+            ok &= r.anytime_complete and r.profiles_enumerated == m ** (n - 1)
+    means = {cell: sum(t) / len(t) for cell, t in times.items()}
     for m in ms:
         if m >= 4:
             for a, b in zip(ns, ns[1:]):

@@ -129,6 +129,22 @@ class TestSolve:
         _, b = run_out(capsys, ["solve", "--mode", "pessimistic", game_file])
         assert a == b
 
+    @pytest.mark.parametrize("mode", ["pessimistic", "optimistic", "apx", "pure-olfe"])
+    def test_edges_listed_leader_first_solve_the_same(self, capsys, game_file, tmp_path, mode):
+        # each edge (p, q) written as (q, p) with its matrices swapped and
+        # transposed, in reverse order: the reader restores the canonical game
+        data = json.loads(Path(game_file).read_text())
+        data["edges"] = [
+            {"p": e["q"], "q": e["p"], "payoff_p": np.transpose(e["payoff_q"]).tolist(),
+             "payoff_q": np.transpose(e["payoff_p"]).tolist()}
+            for e in reversed(data["edges"])
+        ]
+        swapped = tmp_path / "swapped.json"
+        swapped.write_text(json.dumps(data))
+        code, canonical = run_out(capsys, ["solve", "--mode", mode, game_file])
+        assert code == 0
+        assert run_out(capsys, ["solve", "--mode", mode, str(swapped)]) == (0, canonical)
+
     def test_seven_followers_eight_actions(self, capsys, tmp_path):
         # a default-range game whose pessimistic supremum is not attained;
         # its max-min LP drifts off its rows before the re-solve mends it
@@ -240,11 +256,12 @@ class TestMalformedGame:
             ("edge", [1, 2], "edge 0 is not an object"),
             ("payoff_p", [["x", 1.0], [2.0, 3.0]], "edge 0 payoff_p: could not convert string to float: 'x'"),
             ("payoff_q", [[1.0], [2.0, 3.0]], "edge 0 payoff_q: setting an array element with a sequence"),
+            ("file", b"\xff\xfe{}", "malformed JSON in"),
         ],
     )
-    def test_unreadable_edge(self, capsys, tmp_path, field, value, message):
+    def test_unreadable_edge(self, capsys, game_file, tmp_path, field, value, message):
         data = game_to_json_dict(random_oltpg(3, 2, 0))
-        if field == "game":  # the whole file
+        if field in ("game", "file"):  # the whole file: JSON, or bytes that are not UTF-8
             data = value
         elif field == "edge":  # the whole of edge 0
             data["edges"][0] = value
@@ -253,13 +270,22 @@ class TestMalformedGame:
         else:
             data["edges"][0][field] = value
         game = tmp_path / "bad.json"
-        game.write_text(json.dumps(data))
+        if field == "file":
+            game.write_bytes(data)
+        else:
+            game.write_text(json.dumps(data))
         game = str(game)
-        for argv in (
+        argvs = [
             ["validate", game],
             ["solve", "--mode", "pessimistic", game],
             ["solve", "--mode", "pure-olfe", game],
-        ):
+        ]
+        if field == "file":  # read as a strategy and as a result file too
+            argvs += [
+                ["eval", "--strategy", game, "--mode", "pessimistic", game_file],
+                ["verify", "--against", "grid", game_file, game],
+            ]
+        for argv in argvs:
             assert run(argv) == 1, argv
             captured = capsys.readouterr()
             assert captured.out == ""
@@ -286,6 +312,9 @@ class TestMalformedGame:
                 "malformed player 1: actions must be a list of strings, got [1.5, None]",
             ),
             (lambda data: data["players"].__setitem__(0, [1, ["a", "b"]]), "player 0 is not an object"),
+            (lambda data: data["players"][1].update(id=1), "duplicate player ids"),
+            (lambda data: data.update(leader=9), "leader 9 is not a player"),
+            (lambda data: data.pop("leader"), "malformed game JSON: missing 'leader'"),
         ],
         ids=[
             "no-id",
@@ -297,6 +326,9 @@ class TestMalformedGame:
             "string-actions",
             "non-string-labels",
             "player-not-object",
+            "duplicate-ids",
+            "unknown-leader",
+            "no-leader",
         ],
     )
     def test_unreadable_player(self, capsys, tmp_path, edit, message):
@@ -453,6 +485,7 @@ class TestConvert:
         }
         path = tmp_path / "tri.json"
         path.write_text(json.dumps(data))
+        assert_domain_error(capsys, ["solve", "--mode", "optimistic", str(path)], "use pure-olfe")
         assert run(["convert", "--to", "bayesian", str(path)]) == 1
 
     @pytest.mark.parametrize(
@@ -622,6 +655,20 @@ class TestVerify:
         code, _, check = self._verify(capsys, tmp_path, game, "apx", -1e3, grid)
         assert check == {"check": "grid_apx_ratio", "ok": True, "guarantee_valid": False}
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "against,message",
+        [
+            pytest.param(["1d"], "requires exactly 2 leader actions", id="1d-three-actions"),
+            pytest.param(["grid", "--resolution", "0"], "resolution must be positive", id="resolution-0"),
+        ],
+    )
+    def test_oracle_refusal_is_domain_error(self, capsys, game_file, tmp_path, against, message):
+        # the game's leader has three actions
+        _, solved = run_out(capsys, ["solve", "--mode", "pessimistic", game_file])
+        res = tmp_path / "r.json"
+        res.write_text(solved)
+        assert_domain_error(capsys, ["verify", "--against", *against, game_file, str(res)], message)
 
     def test_unknown_mode_is_domain_error(self, capsys, game_file, tmp_path):
         _, solved = run_out(capsys, ["solve", "--mode", "pessimistic", game_file])

@@ -474,9 +474,9 @@ def _every_profile(game):
     (the profiles it reaches, in the order it returns them, profiles
     solved, covered, truncated)."""
     results, found, covered, truncated = best_first(
-        _Blocks(game), lambda combo, D, d0: (-math.inf, combo)
+        _Blocks(game), lambda combo, D, d0: (-math.inf, None)
     )
-    return [combo for _, combo in results], found, covered, truncated
+    return [combo for _, combo, _ in results], found, covered, truncated
 
 
 class TestSearchProfiles:
@@ -531,11 +531,14 @@ class TestSearchProfiles:
 
 def _solve_every_profile(blocks, solve, time_limit=None, best=-math.inf):
     """``best_first`` without its search or its bounds: solves every profile
-    of ``_flat_survivors``, in lexicographic order, whatever the starting best."""
+    of ``_flat_survivors``, in lexicographic order, whatever the starting
+    best, and keeps those within VALUE_TIE_TOL of the best value."""
     combos = _flat_survivors(blocks.game)
-    results = [r for r in (solve(combo, *blocks.rows(combo)) for combo in combos) if r is not None]
+    solved = ((combo, solve(combo, *blocks.rows(combo))) for combo in combos)
+    results = [(r[0], combo, r[1]) for combo, r in solved if r is not None]
+    top = max((v for v, _, _ in results), default=-math.inf)
     total = math.prod(blocks.game.num_actions(p) for p in blocks.followers)
-    return results, len(combos), total, False
+    return [r for r in results if r[0] >= top - VALUE_TIE_TOL], len(combos), total, False
 
 
 def _rounded_spg(n, m, seed):
@@ -624,7 +627,8 @@ class TestBestFirst:
         for prefix, v in best.items():
             D, d0 = blocks.rows(prefix)
             for form in (False, True):  # the primal, and the dual best_first reads
-                bound = plfe_exact._padded(plfe_exact._profile_lp(blocks, prefix, D, d0, form)[0])
+                got = plfe_exact._profile_lp(blocks, prefix, D, d0, form)
+                bound = plfe_exact._padded(got if form else got[0])
                 assert v <= bound, (prefix, form)
                 if len(prefix) == n:
                     assert plfe_exact._max_min(blocks, prefix, D)[0] <= bound, (prefix, form)
@@ -647,7 +651,7 @@ class TestBestFirst:
         game = random_oltpg(5, 6, 1)
         blocks = _Blocks(game)
         results, found, covered, truncated = best_first(
-            blocks, lambda combo, D, d0: (0.0, combo), best=blocks.tail[0].max() + 1.0
+            blocks, lambda combo, D, d0: (0.0, None), best=blocks.tail[0].max() + 1.0
         )
         assert results == [] and found == 0 and covered == 6**4 and not truncated
         assert lp_calls == []
@@ -699,7 +703,7 @@ class TestBestFirst:
 
         def solve(combo, D, d0):
             events.append("solve")
-            return 0.0, combo
+            return 0.0, None
 
         blocks.extend = logged
         results, found, covered, truncated = best_first(blocks, solve, time_limit=0.0)
@@ -714,7 +718,7 @@ class TestBestFirst:
         game = random_oltpg(5, 6, 1)
         blocks = _Blocks(game)
         results, found, covered, truncated = best_first(
-            blocks, lambda combo, D, d0: (_profile_bound(game, combo), combo), time_limit=60.0
+            blocks, lambda combo, D, d0: (_profile_bound(game, combo), None), time_limit=60.0
         )
         assert found == len(results) == 1 and covered == 6**4 and not truncated
         for solve in (solve_plfe, solve_olfe):
@@ -739,6 +743,25 @@ def _search_lp_games(group):
     else:
         for seed in range(6):
             yield _general_game(seed), (solve_olfe,)
+
+
+def margin_lp(D: np.ndarray, m_n: int, d0: np.ndarray):
+    """Arguments of ``lp_core.maximize`` for the margin LP over (s, eps):
+    max eps s.t. D s - eps >= -d0, eps <= 1, sum s = 1, s >= 0, the form
+    with phase 1 that the search's margin LPs replace."""
+    k = D.shape[0]
+    c = np.zeros(m_n + 1)
+    c[-1] = 1.0
+    A_ub = np.zeros((k + 1, m_n + 1))
+    A_ub[:k, :m_n] = -D
+    A_ub[:k, -1] = 1.0
+    A_ub[k, -1] = 1.0
+    b_ub = np.zeros(k + 1)
+    b_ub[:k] = d0
+    b_ub[k] = 1.0
+    A_eq = np.zeros((1, m_n + 1))
+    A_eq[0, :m_n] = 1.0
+    return c, A_ub, b_ub, A_eq, [1.0]
 
 
 class TestSearchLpForms:
@@ -777,7 +800,7 @@ class TestSearchLpForms:
             for _, (_, _, b_ub, A_eq, _), _ in calls:  # no phase 1
                 assert A_eq is None and (b_ub >= 0).all()
         for (D, d0, m_n), (eps, s), _ in margins:
-            ref = maximize(*plfe_exact.margin_lp(D, m_n, d0))
+            ref = maximize(*margin_lp(D, m_n, d0))
             old = ref.objective if ref.status is LpStatus.OPTIMAL else 0.0
             assert (eps > EPS_TOL) == (old > EPS_TOL)
             assert abs(eps - old) <= 1e-9
@@ -789,4 +812,4 @@ class TestSearchLpForms:
             ref = plfe_exact._profile_lp(blocks, combo, D, d0)
             assert (got is None) == (ref is None)
             if got is not None:
-                assert abs(got[0] - ref[0]) <= 1e-9 * max(1.0, abs(ref[0]))
+                assert abs(got - ref[0]) <= 1e-9 * max(1.0, abs(ref[0]))
