@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .game_model import GameClassError, MixedStrategy, PolymatrixGame, evaluate_commitment
+from .game_model import GameClassError, PolymatrixGame, evaluate_commitment
 from .plfe_exact import LfeResult, _Blocks, _check_alpha, _finish, _first_attained, _search
 from .plfe_exact import solve_plfe, within_simplex  # noqa: F401 (perfbench wraps solve_plfe)
 
@@ -49,10 +49,9 @@ def solve_plfe_apx(game: PolymatrixGame, alpha: float = 1e-6) -> ApxReport:
     _check_alpha(alpha)
     nonneg = all((game.leader_edge(p)[1] >= 0).all() for p in game.followers)
 
-    blocks = _Blocks(game)
     best = None
     for p in game.followers:
-        sub = blocks.single(p)
+        sub = _Blocks(game, (p,))
         floor = -math.inf if best is None else best[0]
         found, _, processed, _ = _search(sub, best=floor)
         # its value is at most its largest contender's, which must beat floor + 1e-12
@@ -65,7 +64,7 @@ def solve_plfe_apx(game: PolymatrixGame, alpha: float = 1e-6) -> ApxReport:
             best = found[i or 0][0], p, sub, found, tried, processed
     _, best_p, sub, found, tried, processed = best
     v, _, strategy, attained = _finish(sub, found, alpha, tried)
-    s_n = MixedStrategy(game.leader, within_simplex(strategy).probs)
+    s_n = within_simplex(strategy)
     full_value, profile = evaluate_commitment(game, s_n, "pessimistic")
     result = LfeResult(
         float(full_value), s_n, profile, attained=True, alpha=alpha, profiles_enumerated=processed

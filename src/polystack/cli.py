@@ -32,6 +32,7 @@ from .game_model import (
     GameClassError,
     MixedStrategy,
     PolymatrixGame,
+    enumerate_pure_ne,
     evaluate_commitment,
     game_from_json_dict,
     game_to_json_dict,
@@ -282,7 +283,6 @@ def _cmd_verify(args) -> int:
         raise DomainError(f"result file has an unknown mode {mode!r}")
     eval_mode = "optimistic" if mode in ("optimistic", "pure-olfe") else "pessimistic"
     checks = []
-    ok = True
 
     s = _checked_strategy(strategy, game)
     attained = result.get("attained", True)
@@ -296,9 +296,16 @@ def _cmd_verify(args) -> int:
         raise DomainError(f"result file alpha must be positive and finite, got {slack!r}")
     if game.is_one_level_tree():
         got, _ = evaluate_commitment(game, s, eval_mode)
-        good = got >= value - slack - 1e-7
-        checks.append({"check": "strategy_reevaluates", "ok": good, "evaluated": got})
-        ok &= good
+    else:
+        # the leader's payoff at the best (optimistic) or worst pure equilibrium
+        try:
+            profiles = enumerate_pure_ne(game, s, 1e-7)
+        except ValueError as exc:
+            raise DomainError(str(exc)) from exc
+        vals = [oracles._leader_utility(game, s.probs, a) for a in profiles]
+        got = (max if eval_mode == "optimistic" else min)(vals, default=None)
+    good = got is not None and got >= value - slack - 1e-7
+    checks.append({"check": "strategy_reevaluates", "ok": good, "evaluated": got})
 
     if args.against == "grid" and mode == "apx" and any(
         (game.leader_edge(p)[1] < 0).any() for p in game.followers
@@ -321,7 +328,6 @@ def _cmd_verify(args) -> int:
             good = grid.value <= value + 1e-6
             check = {"check": "grid_lower_bound", "ok": good}
         checks.append(dict(check, grid_value=grid.value, skipped_points=grid.skipped))
-        ok &= good
     else:
         try:
             sup, attained = oracles.supremum_1d(game)
@@ -338,9 +344,9 @@ def _cmd_verify(args) -> int:
         checks.append(
             {"check": "supremum_1d", "ok": good, "oracle_value": sup, "oracle_attained": attained}
         )
-        ok &= good
 
-    _emit({"schema": SCHEMA, "ok": bool(ok), "checks": checks})
+    ok = all(check["ok"] for check in checks)
+    _emit({"schema": SCHEMA, "ok": ok, "checks": checks})
     return 0 if ok else 1
 
 

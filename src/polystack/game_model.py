@@ -180,17 +180,12 @@ def validate(game: PolymatrixGame) -> ValidationReport:
     if tree_violations:
         return ValidationReport(GameClass.GENERAL_PG, tree_violations)
 
-    spg_violations = []
     followers = game.followers
-    action_sets = {game.actions[p] for p in followers}
-    if len(action_sets) > 1:
-        spg_violations.append("leaf-players do not share one action set")
-    else:
-        mats = [game.leader_edge(p)[1] for p in followers]
-        if any(not np.array_equal(mats[0], m) for m in mats[1:]):
-            spg_violations.append("leader payoffs differ across leaves")
-    if spg_violations:
-        return ValidationReport(GameClass.OLTPG, spg_violations)
+    if len({game.actions[p] for p in followers}) > 1:
+        return ValidationReport(GameClass.OLTPG, ["leaf-players do not share one action set"])
+    mats = [game.leader_edge(p)[1] for p in followers]
+    if any(not np.array_equal(mats[0], m) for m in mats[1:]):
+        return ValidationReport(GameClass.OLTPG, ["leader payoffs differ across leaves"])
     return ValidationReport(GameClass.SPG)
 
 
@@ -396,14 +391,9 @@ def game_from_json_dict(data: dict) -> tuple[PolymatrixGame, dict[int, int] | No
     if leader not in ids:
         raise ValueError(f"leader {leader} is not a player")
     n = len(ids)
-    canonical = ids == list(range(1, n + 1)) and leader == n
-    if canonical:
-        renum = None
-        mapping = {p: p for p in ids}
-    else:
-        ordered = sorted(p for p in ids if p != leader) + [leader]
-        mapping = {old: new for new, old in enumerate(ordered, start=1)}
-        renum = dict(mapping)
+    ordered = sorted(p for p in ids if p != leader) + [leader]
+    mapping = {old: new for new, old in enumerate(ordered, start=1)}
+    renum = None if ids == list(range(1, n + 1)) and leader == n else mapping
     actions = {mapping[p]: a for p, a in zip(ids, labels)}
     edges = {}
     for i, e in enumerate(raw_edges):

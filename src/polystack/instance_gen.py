@@ -215,18 +215,8 @@ def _clause_patterns(cnf: CnfFormula):
             )
             labels.append(f"phi{c}_" + "".join("pn"[l < 0] for l in lits))
             triples.append(lits)
-            assignment = {}
-            consistent = True
-            for l in lits:
-                v = abs(l)
-                if v in assignment and assignment[v] != (l > 0):
-                    consistent = False
-                    break
-                assignment[v] = l > 0
-            sat = consistent and any(
-                assignment[abs(l)] == (l > 0) for l in clause
-            )
-            satisfies.append(sat)
+            consistent = all(-l not in lits for l in lits)
+            satisfies.append(consistent and any(l in lits for l in clause))
     return labels, triples, satisfies
 
 

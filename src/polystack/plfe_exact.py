@@ -36,7 +36,6 @@ shared with apx); OLFE takes the first.
 
 from __future__ import annotations
 
-import copy
 import heapq
 import math
 import time
@@ -95,11 +94,16 @@ class _Blocks:
     from above over every completion; every extension's rows then imply the
     prefix's rows. A search node's rows come from its prefix alone
     (``rows``): only ``_follower_rows`` knows how assigning a follower
-    changes the rows of the followers before it."""
+    changes the rows of the followers before it.
 
-    def __init__(self, game: PolymatrixGame):
+    ``followers`` are the followers searched, in search order; by default
+    all of ``game.followers``. A subset is valid only on a one-level tree,
+    where no follower's rows depend on another's: it searches the subgame
+    against those followers alone, as apx does with each one in turn."""
+
+    def __init__(self, game: PolymatrixGame, followers: tuple[int, ...] | None = None):
         self.game = game
-        self.followers = game.followers
+        self.followers = game.followers if followers is None else followers
         self.m_n = game.num_actions(game.leader)
         self.L = {}
         # ff[p]: (index j of q, U_pq, row maxima, row minima) per follower
@@ -134,13 +138,6 @@ class _Blocks:
         for p in reversed(self.followers):
             self.tail.insert(0, self.L[p].max(axis=0) + self.tail[0])
         self._prefilter: dict[tuple[int, int], tuple[float, np.ndarray | None]] = {}
-
-    def single(self, p: int) -> _Blocks:
-        """Follower p's subgame of a one-level tree: the same rows, searched with p alone."""
-        view = copy.copy(self)
-        view.followers = (p,)
-        view.tail = [self.L[p].max(axis=0) + self.tail[-1], self.tail[-1]]
-        return view
 
     def _follower_rows(self, i: int, combo: tuple, a: int):
         """Rows (D, d0) of the i-th follower p playing a, given the actions

@@ -8,11 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polystack import cli
+from polystack import cli, game_model
 from polystack.cli import dumps_canonical, run
 from polystack.game_model import game_to_json_dict
 from polystack.instance_gen import CnfFormula, random_oltpg, sat_to_pg_olfe
 from polystack.plfe_exact import SolverFailure, solve_plfe
+
+from test_plfe_exact import _general_game
 
 
 @pytest.fixture
@@ -198,6 +200,15 @@ class TestEval:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: invalid strategy:")
+
+    def test_object_without_probabilities_is_domain_error(self, capsys, game_file, tmp_path):
+        s = tmp_path / "s.json"
+        s.write_text('{"value": 1.0}')
+        assert_domain_error(
+            capsys,
+            ["eval", "--strategy", str(s), "--mode", "pessimistic", game_file],
+            "expected a probability list or a solve output",
+        )
 
 
 class TestMalformedGame:
@@ -431,6 +442,24 @@ class TestGenerate:
         assert_domain_error(capsys, ["generate", *args], message)
 
 
+    @pytest.mark.parametrize(
+        "what,text,message",
+        [
+            ("sat-olfe", "p dnf 3 1\n1 2 3 0\n", "bad problem line: 'p dnf 3 1'"),
+            ("sat-olfe", "p cnf 3 1\n1 2 3\n", "last clause not terminated by 0"),
+            ("sat-olfe", "p cnf 3 1\n1 2 0\n", "clause (1, 2) does not have exactly 3 literals"),
+            ("sat-olfe", None, "cannot read input: "),
+            ("sat-plfe", "p cnf 3 0\n", "need at least one clause"),
+        ],
+        ids=["dnf-header", "unterminated", "two-literals", "missing-file", "no-clauses"],
+    )
+    def test_unreadable_cnf_is_domain_error(self, capsys, tmp_path, what, text, message):
+        cnf = tmp_path / "f.cnf"
+        if text is not None:
+            cnf.write_text(text)
+        assert_domain_error(capsys, ["generate", what, "--cnf", str(cnf)], message)
+
+
 def _type0(edit):
     """An edit of a Bayesian game's JSON that replaces type 0 by edit(type 0)."""
 
@@ -470,6 +499,22 @@ class TestConvert:
     def test_leader_only_game_rejected(self, capsys, leader_only_file):
         assert_domain_error(
             capsys, ["convert", "--to", "bayesian", leader_only_file], "at least one follower type"
+        )
+
+    def test_followers_with_different_labels_rejected(self, capsys, tmp_path):
+        data = game_to_json_dict(random_oltpg(3, 2, 0))
+        data["players"][0]["actions"] = ["u", "v"]
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(data))
+        code, out = run_out(capsys, ["validate", str(path)])
+        assert code == 0
+        report = json.loads(out)
+        assert report["class"] == "oltpg"
+        assert report["violations"] == ["leaf-players do not share one action set"]
+        assert_domain_error(
+            capsys,
+            ["convert", "--to", "bayesian", str(path)],
+            "followers must share one action set to form a Bayesian follower",
         )
 
     def test_general_game_rejected(self, capsys, tmp_path):
@@ -513,6 +558,15 @@ class TestConvert:
                 "follower_actions must be a list of strings, got [1.5, None]",
             ),
             (lambda data: [1, 2], "Bayesian-game JSON is not an object"),
+            (lambda data: data.update(types={}), "malformed Bayesian-game JSON: types must be a list"),
+            (
+                _type0(lambda t: {k: v for k, v in t.items() if k != "leader_payoff"}),
+                "type 'player_1' has no leader payoff",
+            ),
+            (
+                _type0(lambda t: {**t, "follower_payoff": t["follower_payoff"][:-1]}),
+                "type 'player_1' payoff shape mismatch",
+            ),
         ],
         ids=[
             "no-follower-payoff",
@@ -525,6 +579,9 @@ class TestConvert:
             "string-leader-actions",
             "non-string-follower-labels",
             "not-object",
+            "types-not-list",
+            "no-leader-payoff",
+            "shape-mismatch",
         ],
     )
     def test_unreadable_bayesian_type(self, capsys, game_file, tmp_path, edit, message):
@@ -576,7 +633,62 @@ class TestVerify:
         assert code == 0
         data = json.loads(out)
         assert data["ok"] is True
-        assert data["checks"][0]["grid_value"] == pytest.approx(0.01)
+        (grid,) = [c for c in data["checks"] if c["check"] == "grid_lower_bound"]
+        assert grid["grid_value"] == pytest.approx(0.01)
+
+    @pytest.mark.parametrize(
+        "edit,evaluated",
+        [({"value": 1e9}, 3), ({"strategy": [1, 0, 0]}, 0)],
+        ids=["inflated-value", "other-strategy"],
+    )
+    def test_general_game_strategy_reevaluates(self, capsys, tmp_path, edit, evaluated):
+        # the grid check alone holds for any value at least the grid's
+        game = tmp_path / "g.json"
+        game.write_text(json.dumps(game_to_json_dict(_general_game(1))))
+        _, solved = run_out(capsys, ["solve", "--mode", "pure-olfe", str(game)])
+        data = json.loads(solved)
+        assert data["value"] == 3
+        res = tmp_path / "r.json"
+        res.write_text(json.dumps({**data, **edit}))
+        code, out = run_out(capsys, ["verify", "--against", "grid", str(game), str(res)])
+        assert code == 1
+        report = json.loads(out)
+        assert report["ok"] is False
+        assert report["checks"][0] == {"check": "strategy_reevaluates", "ok": False, "evaluated": evaluated}
+        assert report["checks"][1]["check"] == "grid_lower_bound" and report["checks"][1]["ok"] is True
+
+    # followers 1 and 2 play matching pennies, and follower 1 gains 5 from
+    # action h when the leader plays y: a pure equilibrium exists at y, none at x
+    PENNIES_GAME = {
+        "players": [{"id": 1, "actions": ["h", "t"]}, {"id": 2, "actions": ["h", "t"]}, {"id": 3, "actions": ["x", "y"]}],
+        "leader": 3,
+        "edges": [
+            {"p": 1, "q": 2, "payoff_p": [[1, -1], [-1, 1]], "payoff_q": [[-1, 1], [1, -1]]},
+            {"p": 1, "q": 3, "payoff_p": [[0, 5], [0, 0]], "payoff_q": [[0, 0], [0, 0]]},
+            {"p": 2, "q": 3, "payoff_p": [[0, 0], [0, 0]], "payoff_q": [[0, 0], [0, 0]]},
+        ],
+    }
+
+    def test_strategy_without_pure_equilibrium_fails(self, capsys, tmp_path):
+        game = tmp_path / "g.json"
+        game.write_text(json.dumps(self.PENNIES_GAME))
+        res = tmp_path / "r.json"
+        res.write_text(json.dumps({"mode": "pure-olfe", "value": 0, "strategy": [1, 0]}))
+        code, out = run_out(capsys, ["verify", "--against", "grid", str(game), str(res)])
+        assert code == 1
+        report = json.loads(out)
+        assert report["checks"][0] == {"check": "strategy_reevaluates", "ok": False, "evaluated": None}
+
+    def test_general_game_enumeration_refusal_is_domain_error(self, capsys, tmp_path, monkeypatch):
+        game = tmp_path / "g.json"
+        game.write_text(json.dumps(game_to_json_dict(_general_game(1))))
+        _, solved = run_out(capsys, ["solve", "--mode", "pure-olfe", str(game)])
+        res = tmp_path / "r.json"
+        res.write_text(solved)
+        monkeypatch.setattr(game_model, "_NE_CELL_GUARD", 1)
+        assert_domain_error(
+            capsys, ["verify", "--against", "grid", str(game), str(res)], "follower profile space too large"
+        )
 
     def test_1d_oracle(self, capsys, tmp_path):
         game = tmp_path / "g2.json"
@@ -810,6 +922,15 @@ class TestBench:
         # two followers with two actions each: 4 profiles
         assert (n, m, timeouts, profiles) == ("3", "2", "0", "4")
 
+    def test_counts_timeouts(self, capsys):
+        # no time for a single LP: every seed's solve stops early
+        code, out = run_out(
+            capsys, ["bench", "--n", "5", "--m", "6", "--seeds", "2", "--time-limit", "0"]
+        )
+        assert code == 0
+        n, m, mean, std, timeouts, profiles = out.splitlines()[1].split(",")
+        assert (n, m, timeouts) == ("5", "6", "2")
+
     def test_solver_failure_is_domain_error(self, capsys, monkeypatch):
         # run maps a SolverFailure of every command, bench's too, to exit 1
         def fail(*args, **kwargs):
@@ -864,3 +985,9 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             run(["solve", game_file])
         assert exc.value.code == 2
+
+    def test_bad_integer_list_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["bench", "--n", "3,x"])
+        assert exc.value.code == 2
+        assert "argument --n: bad integer list '3,x'" in capsys.readouterr().err

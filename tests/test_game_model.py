@@ -37,6 +37,13 @@ class TestValidate:
         assert rep.game_class is GameClass.SPG
         assert rep.violations == []
 
+    def test_leaves_with_different_labels_are_not_a_star(self, star3_shared_game):
+        g = star3_shared_game
+        g = PolymatrixGame(g.player_ids, {**g.actions, 1: ("u", "v", "w")}, g.leader, g.edges)
+        rep = validate(g)
+        assert rep.game_class is GameClass.OLTPG
+        assert rep.violations == ["leaf-players do not share one action set"]
+
     def test_triangle_is_general(self):
         z = np.zeros((2, 2))
         g = PolymatrixGame(
@@ -230,6 +237,10 @@ class TestPureNe:
         )
         s = MixedStrategy(3, np.array([1.0]))
         assert enumerate_pure_ne(g, s) == []
+
+    def test_leader_only_game_has_the_empty_profile(self):
+        g = PolymatrixGame((1,), {1: ("x", "y")}, 1, {})
+        assert enumerate_pure_ne(g, uniform(g)) == [{}]
 
 
 class TestJson:
