@@ -28,6 +28,13 @@ class ApxReport:
     guarantee_valid: bool  # False when leader payoffs go negative
 
 
+def guarantee_valid(game: PolymatrixGame) -> bool:
+    """Whether every leader payoff is nonnegative, which the 1/(number of
+    followers) guarantee needs: a neglected follower then cannot subtract
+    value."""
+    return all((game.leader_edge(p)[1] >= 0).all() for p in game.followers)
+
+
 def solve_plfe_apx(game: PolymatrixGame, alpha: float = 1e-6) -> ApxReport:
     """Best-single-follower commitment; ties go to the smallest follower id.
 
@@ -39,15 +46,13 @@ def solve_plfe_apx(game: PolymatrixGame, alpha: float = 1e-6) -> ApxReport:
     most 1e-12 above the best, or which has no contender left, cannot win:
     it runs no attainment LP.
 
-    Negative leader payoff entries void the multiplicative guarantee (a
-    neglected follower could then subtract value); ``guarantee_valid``
-    reports this, and the solve goes on.
+    Negative leader payoff entries void the multiplicative guarantee;
+    ``guarantee_valid`` reports this, and the solve goes on.
     """
     game._require_oltpg()
     if not game.followers:
         raise GameClassError("the approximation needs at least one follower")
     _check_alpha(alpha)
-    nonneg = all((game.leader_edge(p)[1] >= 0).all() for p in game.followers)
 
     best = None
     for p in game.followers:
@@ -70,4 +75,4 @@ def solve_plfe_apx(game: PolymatrixGame, alpha: float = 1e-6) -> ApxReport:
         float(full_value), s_n, profile, attained=True, alpha=alpha, profiles_enumerated=processed
     )
     bound = v - (0.0 if attained else alpha)
-    return ApxReport(result, best_p, float(v), float(bound), guarantee_valid=nonneg)
+    return ApxReport(result, best_p, float(v), float(bound), guarantee_valid=guarantee_valid(game))

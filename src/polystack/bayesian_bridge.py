@@ -133,6 +133,9 @@ def polymatrix_to_bg(game: PolymatrixGame) -> BayesianGame:
     t = len(followers)
     if t == 0:
         raise GameClassError("a Bayesian game needs at least one follower type")
+    follower_actions = game.actions[followers[0]]
+    if any(game.actions[p] != follower_actions for p in followers):
+        raise GameClassError("followers must share one action set to form a Bayesian follower")
     leader_actions = game.actions[game.leader]
 
     if report.game_class is GameClass.SPG:
@@ -155,12 +158,6 @@ def polymatrix_to_bg(game: PolymatrixGame) -> BayesianGame:
         )
         for p, w, mat in zip(followers, probs, leader_mats)
     )
-    follower_actions = game.actions[followers[0]]
-    for p in followers[1:]:
-        if game.actions[p] != follower_actions:
-            raise GameClassError(
-                "followers must share one action set to form a Bayesian follower"
-            )
     return BayesianGame(leader_actions, follower_actions, types, kind)
 
 

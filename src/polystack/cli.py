@@ -8,7 +8,11 @@ at 17 significant digits so identical runs are byte-identical. Exit codes:
 ``run`` alone turns the failure into exit 1 and one stderr line:
 ``error: <message>`` for a ``DomainError`` (bad input), a
 ``GameClassError`` or a ``NoPureCommitmentError``, and
-``error: solver failure: <message>`` for a ``SolverFailure``. ``bench``
+``error: solver failure: <message>`` for a ``SolverFailure``. A
+``ValueError`` the library raises on bad input becomes a ``DomainError`` in
+one place, ``_input_errors``, around the calls that read input; the
+solvers run outside it, so a ``ValueError`` from inside a solve stays a
+traceback. ``bench``
 writes and flushes each CSV row as its grid point finishes, so a failure
 mid-run leaves the header and the finished rows on stdout.
 """
@@ -27,7 +31,7 @@ import warnings
 import numpy as np
 
 from . import bayesian_bridge, instance_gen, oracles
-from .apx_solver import solve_plfe_apx
+from .apx_solver import guarantee_valid, solve_plfe_apx
 from .game_model import (
     GameClassError,
     MixedStrategy,
@@ -41,7 +45,7 @@ from .game_model import (
     validate,
 )
 from .olfe_solver import NoPureCommitmentError, solve_olfe
-from .plfe_exact import LfeResult, SolverFailure, solve_plfe
+from .plfe_exact import LfeResult, SolverFailure, _check_alpha, solve_plfe
 
 SCHEMA = "polystack/1"
 MODES = ("pessimistic", "optimistic", "apx", "pure-olfe")
@@ -50,6 +54,23 @@ THREADS_HELP = "accepted for compatibility; solves run on one thread"
 
 class DomainError(RuntimeError):
     pass
+
+
+class _input_errors:
+    """Context manager raising a ``ValueError`` from its block as a
+    ``DomainError`` with the message prefixed. A class rather than a
+    ``contextlib.contextmanager`` generator, which costs about three times
+    as much per ``with`` on ``verify``'s path."""
+
+    def __init__(self, prefix: str = ""):
+        self.prefix = prefix
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is not None and issubclass(exc_type, ValueError):
+            raise DomainError(f"{self.prefix}{exc}") from exc
 
 
 # -- deterministic JSON --------------------------------------------------
@@ -99,10 +120,8 @@ def _read_json(path: str):
 
 
 def _load_game(path: str) -> tuple[PolymatrixGame, dict | None]:
-    try:
+    with _input_errors(f"bad game file {path}: "):
         return game_from_json_dict(_read_json(path))
-    except ValueError as exc:
-        raise DomainError(f"bad game file {path}: {exc}") from exc
 
 
 def _load_solvable_game(path: str) -> PolymatrixGame:
@@ -125,15 +144,13 @@ def _check_threads(threads: int) -> None:
 
 
 def _checked_strategy(probs, game: PolymatrixGame) -> MixedStrategy:
-    try:
+    with _input_errors("invalid strategy: "):
         if not isinstance(probs, list):
             raise ValueError(f"expected a list of numbers, got {probs!r}")
         s = MixedStrategy(
             game.leader, np.array([json_number(x, "strategy entry") for x in probs], dtype=float)
         )
         s.validate(game.num_actions(game.leader))
-    except ValueError as exc:
-        raise DomainError(f"invalid strategy: {exc}") from exc
     return s
 
 
@@ -189,8 +206,9 @@ def _cmd_classify(args) -> int:
 
 def _cmd_solve(args) -> int:
     game = _load_solvable_game(args.game)
-    if args.mode in ("pessimistic", "apx") and not 0 < args.alpha < float("inf"):
-        raise DomainError(f"alpha must be positive and finite, got {args.alpha!r}")
+    if args.mode in ("pessimistic", "apx"):
+        with _input_errors():
+            _check_alpha(args.alpha)
     _check_time_limit(args.time_limit)
     _check_threads(args.threads)
     if args.mode == "pessimistic":
@@ -226,7 +244,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    try:
+    with _input_errors():
         if args.to == "polymatrix":
             bg = bayesian_bridge.bg_from_json_dict(_read_json(args.input))
             with warnings.catch_warnings(record=True) as caught:
@@ -237,31 +255,28 @@ def _cmd_convert(args) -> int:
         else:
             bg = bayesian_bridge.polymatrix_to_bg(_load_solvable_game(args.input))
             _emit(bayesian_bridge.bg_to_json_dict(bg))
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
     return 0
 
 
 def _cmd_generate(args) -> int:
     try:
-        if args.what == "random":
-            game = instance_gen.random_oltpg(
-                args.players, args.actions, args.seed, args.lo, args.hi, args.kind
-            )
-        elif args.what == "clique":
-            graph = oracles.graph_from_json_dict(_read_json(args.graph))
-            game = instance_gen.clique_to_spg(graph)
-        else:
-            with open(args.cnf) as fh:
-                cnf = instance_gen.parse_dimacs(fh.read())
-            if args.what == "sat-olfe":
-                game = instance_gen.sat_to_pg_olfe(cnf, args.epsilon)
+        with _input_errors():
+            if args.what == "random":
+                game = instance_gen.random_oltpg(
+                    args.players, args.actions, args.seed, args.lo, args.hi, args.kind
+                )
+            elif args.what == "clique":
+                graph = oracles.graph_from_json_dict(_read_json(args.graph))
+                game = instance_gen.clique_to_spg(graph)
             else:
-                game = instance_gen.sat_to_pg_plfe(cnf, args.epsilon)
+                with open(args.cnf) as fh:
+                    cnf = instance_gen.parse_dimacs(fh.read())
+                if args.what == "sat-olfe":
+                    game = instance_gen.sat_to_pg_olfe(cnf, args.epsilon)
+                else:
+                    game = instance_gen.sat_to_pg_plfe(cnf, args.epsilon)
     except OSError as exc:
         raise DomainError(f"cannot read input: {exc}") from exc
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
     _emit(game_to_json_dict(game))
     return 0
 
@@ -275,10 +290,8 @@ def _cmd_verify(args) -> int:
         mode, value, strategy = result["mode"], result["value"], result["strategy"]
     except KeyError as exc:
         raise DomainError(f"result file is not a solve output: missing {exc}") from exc
-    try:
+    with _input_errors("result file "):
         value = json_number(value, "value")
-    except ValueError as exc:
-        raise DomainError(f"result file {exc}") from exc
     if mode not in MODES:
         raise DomainError(f"result file has an unknown mode {mode!r}")
     eval_mode = "optimistic" if mode in ("optimistic", "pure-olfe") else "pessimistic"
@@ -288,36 +301,27 @@ def _cmd_verify(args) -> int:
     attained = result.get("attained", True)
     if not isinstance(attained, bool):
         raise DomainError(f"result file has a non-boolean attained: {attained!r}")
-    try:
-        slack = 0.0 if attained else json_number(result.get("alpha", 0.0), "alpha")
-    except ValueError as exc:
-        raise DomainError(f"result file {exc}") from exc
-    if not attained and not 0 < slack < float("inf"):
-        raise DomainError(f"result file alpha must be positive and finite, got {slack!r}")
+    slack = 0.0
+    if not attained:
+        with _input_errors("result file "):
+            slack = json_number(result.get("alpha", 0.0), "alpha")
+            _check_alpha(slack)
     if game.is_one_level_tree():
         got, _ = evaluate_commitment(game, s, eval_mode)
     else:
-        # the leader's payoff at the best (optimistic) or worst pure equilibrium
-        try:
+        with _input_errors():
             profiles = enumerate_pure_ne(game, s, 1e-7)
-        except ValueError as exc:
-            raise DomainError(str(exc)) from exc
-        vals = [oracles._leader_utility(game, s.probs, a) for a in profiles]
-        got = (max if eval_mode == "optimistic" else min)(vals, default=None)
+        got = oracles.equilibrium_value(game, s.probs, profiles, eval_mode)
     good = got is not None and got >= value - slack - 1e-7
     checks.append({"check": "strategy_reevaluates", "ok": good, "evaluated": got})
 
-    if args.against == "grid" and mode == "apx" and any(
-        (game.leader_edge(p)[1] < 0).any() for p in game.followers
-    ):
+    if args.against == "grid" and mode == "apx" and not guarantee_valid(game):
         # a negative leader payoff voids the approximation guarantee, the
         # only bound the grid could check
         checks.append({"check": "grid_apx_ratio", "ok": True, "guarantee_valid": False})
     elif args.against == "grid":
-        try:
+        with _input_errors():
             grid = oracles.grid_oracle(game, args.resolution, eval_mode)
-        except ValueError as exc:
-            raise DomainError(str(exc)) from exc
         if mode == "apx":
             # the grid value bounds only the optimum OPT, and with k
             # followers an approximation's value v promises OPT <= k * v
@@ -329,10 +333,8 @@ def _cmd_verify(args) -> int:
             check = {"check": "grid_lower_bound", "ok": good}
         checks.append(dict(check, grid_value=grid.value, skipped_points=grid.skipped))
     else:
-        try:
+        with _input_errors():
             sup, attained = oracles.supremum_1d(game)
-        except ValueError as exc:
-            raise DomainError(str(exc)) from exc
         # the oracle's pessimistic supremum bounds an optimistic value from
         # below and an approximation's from above
         if mode == "pessimistic":

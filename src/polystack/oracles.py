@@ -69,6 +69,15 @@ def _leader_utility(game: PolymatrixGame, probs: np.ndarray, profile: dict[int, 
     return total
 
 
+def equilibrium_value(
+    game: PolymatrixGame, probs: np.ndarray, profiles: list[dict[int, int]], mode: str
+) -> float | None:
+    """The leader's payoff at probs against the worst (pessimistic) or best
+    (optimistic) of the pure follower profiles, None when there are none."""
+    vals = [_leader_utility(game, probs, a) for a in profiles]
+    return (max if mode == "optimistic" else min)(vals, default=None)
+
+
 def _strictly_stable(game: PolymatrixGame, probs: np.ndarray, profile: dict[int, int]) -> bool:
     """Whether every follower deviation from the profile that changes the
     deviator's payoff, as a function of the leader's strategy, makes it
@@ -129,18 +138,15 @@ def grid_oracle(game: PolymatrixGame, k: int, mode: str = "pessimistic") -> Grid
                 best_v = values[i]
                 best_s = MixedStrategy(game.leader, probs[i].copy())
     else:
-        for parts in _simplex_grid(k, m_n):
-            probs = np.array(parts, dtype=float) / k
+        for probs in itertools.chain.from_iterable(_grid_blocks(k, m_n)):
             s = MixedStrategy(game.leader, probs)
             profiles = enumerate_pure_ne(game, s)
             if mode == "optimistic":
                 profiles = [a for a in profiles if _strictly_stable(game, probs, a)]
-            if not profiles:
+            v = equilibrium_value(game, probs, profiles, mode)
+            if v is None:
                 skipped += 1
-                continue
-            vals = [_leader_utility(game, probs, a) for a in profiles]
-            v = min(vals) if mode == "pessimistic" else max(vals)
-            if v > best_v:
+            elif v > best_v:
                 best_v = v
                 best_s = s
     if best_s is None:
@@ -251,7 +257,11 @@ class Graph:
 
 def graph_from_json_dict(data: dict) -> Graph:
     try:
-        ends = [(json_int(a, "edge end"), json_int(b, "edge end")) for a, b in data["edges"]]
+        ends = []
+        for i, edge in enumerate(data["edges"]):
+            if not isinstance(edge, list) or len(edge) != 2:
+                raise ValueError(f"malformed graph JSON: edge {i} is not a pair of vertex ids")
+            ends.append((json_int(edge[0], "edge end"), json_int(edge[1], "edge end")))
         return Graph(json_int(data["vertices"], "vertices"), tuple(ends))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed graph JSON: {exc}") from exc

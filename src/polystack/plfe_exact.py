@@ -128,10 +128,7 @@ class _Blocks:
                 classes.setdefault(row, []).append(a)
             self.tie_set[p] = [classes[row] for row in rows]
             self.non_tied[p] = [[b for b, other in enumerate(rows) if other != row] for row in rows]
-            self.diff[p] = [
-                M[a] - M[nt] if nt else np.zeros((0, self.m_n))
-                for a, nt in enumerate(self.non_tied[p])
-            ]
+            self.diff[p] = [M[a] - M[nt] for a, nt in enumerate(self.non_tied[p])]
         # tail[k]: the entrywise max over actions of L[p], summed over the
         # followers from the k-th on
         self.tail = [np.zeros(self.m_n)]

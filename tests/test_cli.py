@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polystack import cli, game_model
+from polystack import cli, game_model, lp_core, plfe_exact
 from polystack.cli import dumps_canonical, run
 from polystack.game_model import game_to_json_dict
 from polystack.instance_gen import CnfFormula, random_oltpg, sat_to_pg_olfe
@@ -51,6 +51,8 @@ class TestCanonicalJson:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             dumps_canonical(float("nan"))
+        with pytest.raises(TypeError, match="cannot serialize"):
+            dumps_canonical(object())
 
 
 class TestClassifyValidate:
@@ -419,6 +421,17 @@ class TestGenerate:
         graph = tmp_path / "g.json"
         graph.write_text('{"vertices": 3, "edges": [[1, 2], [2, 3], [1, 3]]}')
         assert run(["generate", "clique", "--graph", str(graph)]) == 1
+
+    @pytest.mark.parametrize(
+        "edges", ["[[1, 2, 3]]", "[[1]]", "[1]"], ids=["triple", "single", "bare-id"]
+    )
+    def test_malformed_edge_is_domain_error(self, capsys, tmp_path, edges):
+        graph = tmp_path / "g.json"
+        graph.write_text(f'{{"vertices": 3, "edges": {edges}}}')
+        assert run(["generate", "clique", "--graph", str(graph)]) == 1
+        assert capsys.readouterr().err == (
+            "error: malformed graph JSON: edge 0 is not a pair of vertex ids\n"
+        )
 
     @pytest.mark.parametrize(
         "args,message",
@@ -931,7 +944,7 @@ class TestBench:
         n, m, mean, std, timeouts, profiles = out.splitlines()[1].split(",")
         assert (n, m, timeouts) == ("5", "6", "2")
 
-    def test_solver_failure_is_domain_error(self, capsys, monkeypatch):
+    def test_solver_failure_is_domain_error(self, capsys, monkeypatch, game_file):
         # run maps a SolverFailure of every command, bench's too, to exit 1
         def fail(*args, **kwargs):
             raise SolverFailure("max-min LP ended with LpStatus.FAILED")
@@ -939,6 +952,24 @@ class TestBench:
         monkeypatch.setattr(cli, "solve_plfe", fail)
         assert run(["bench", "--n", "3", "--m", "2", "--seeds", "1"]) == 1
         assert capsys.readouterr().err == "error: solver failure: max-min LP ended with LpStatus.FAILED\n"
+        monkeypatch.undo()
+        # the solvers' own failures: an LP that fails, a search whose every
+        # prefix is empty, an optimistic search that induces no profile
+        failed = lp_core.DenseResult(lp_core.LpStatus.FAILED)
+        cases = [
+            ("pessimistic", lp_core, "maximize", lambda *args: failed,
+             "interior-check LP ended with LpStatus.FAILED"),
+            ("pessimistic", plfe_exact._Blocks, "extend", lambda *args: None,
+             "no follower profile has a full-dimensional best-response region; "
+             "the leader simplex must be covered, so this is a solver defect"),
+            ("optimistic", plfe_exact, "_profile_lp", lambda *args, **kwargs: None,
+             "one-level tree games always admit an inducible profile"),
+        ]
+        for mode, owner, name, fake, message in cases:
+            with monkeypatch.context() as m:
+                m.setattr(owner, name, fake)
+                assert run(["solve", "--mode", mode, game_file]) == 1
+                assert capsys.readouterr().err == f"error: solver failure: {message}\n"
 
     def test_failure_keeps_finished_rows(self, capsys, monkeypatch):
         # rows stream as they finish: a failure in the second grid point

@@ -33,6 +33,8 @@ class TestCnf:
     def test_is_satisfiable(self):
         assert is_satisfiable(CnfFormula(3, ((1, 2, 3),)))
         assert not is_satisfiable(CnfFormula(1, ((1, 1, 1), (-1, -1, -1))))
+        with pytest.raises(ValueError, match="capped at 20 variables"):
+            is_satisfiable(CnfFormula(21, ((1, 2, 3),)))
 
     def test_dimacs_round_trip(self):
         cnf = CnfFormula(4, ((1, -2, 3), (-4, 2, 1), (3, 3, -1)))

@@ -107,6 +107,17 @@ def test_drifted_vertex_with_basic_artificial_is_solved_afresh(monkeypatch, modu
     assert res.status is LpStatus.OPTIMAL
     assert res.x.tobytes() == np.array([0.0, 1.0]).tobytes()
     assert repr(res.objective) == "2.0"
+    # the re-check fails when the re-solved vertex is still off its rows
+    # (no point passes a negative tolerance) and when the basis is singular
+    monkeypatch.setattr(module, "_FEAS_TOL", -1.0)
+    args = [1.0, 2.0], [[1.0, 0.0]], [2.0], [[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0]
+    assert module.maximize(*args).status is LpStatus.FAILED
+
+    def singular(B, rhs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    assert module.maximize(*args).status is LpStatus.FAILED
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -155,6 +166,13 @@ def test_bland_fallback_ends_beale_cycle(pivots):
     assert res.x == pytest.approx([1.0, 0.0, 1.0, 0.0])
     max_iter = 200 * (3 + 4 + 3)  # rows + structural and slack columns
     assert pivots[0] > max_iter // 2
+    # a phase still improving after max_iter + 1 pivots fails, and so does
+    # the LP when it is phase 1
+    T = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
+    assert lp_core._run_phase(T, np.array([1]), 0) == "failed"
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(lp_core, "_run_phase", lambda *args: "failed")
+        assert maximize([1.0], A_eq=[[1.0]], b_eq=[1.0]).status is LpStatus.FAILED
 
 
 def test_arguments_are_not_written():

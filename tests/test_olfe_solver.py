@@ -32,6 +32,8 @@ class TestProfileLp:
     def test_dominated_action_infeasible(self):
         g = two_player_game([[5, 5], [0, 0]], [[1, 1], [9, 9]])
         assert profile_lp(g, (1,)) is None
+        blocks = _Blocks(g)  # the dual bound form is unbounded: None too
+        assert _profile_lp(blocks, (1,), *blocks.rows((1,)), bound=True) is None
 
     def test_optimizes_leader_value(self):
         g = two_player_game([[1, 0], [0, 1]], [[4, 0], [0, 0]])

@@ -130,6 +130,9 @@ class TestSupremum1d:
         g = random_oltpg(2, 3, 0)
         with pytest.raises(ValueError):
             supremum_1d(g)
+        g = sat_to_pg_olfe(CnfFormula(3, ((1, 2, 3), (-1, 2, 3), (1, -2, -3))), 0.01)  # general
+        with pytest.raises(ValueError, match="requires a one-level tree game"):
+            supremum_1d(g)
 
     def test_matches_fine_grid(self):
         for seed in range(10):
@@ -246,6 +249,9 @@ class TestGraph:
     def test_malformed_json(self):
         with pytest.raises(ValueError):
             graph_from_json_dict({"edges": [[1, 2]]})
+        for edges in ([[1, 2, 3]], [[1]], [1]):
+            with pytest.raises(ValueError, match="^malformed graph JSON: edge 0 is not a pair"):
+                graph_from_json_dict({"vertices": 3, "edges": edges})
 
     @pytest.mark.parametrize(
         "data",
@@ -268,6 +274,7 @@ class TestMaxClique:
 
     def test_empty_graph(self):
         assert max_clique_bruteforce(Graph(4, ())) == 1
+        assert max_clique_bruteforce(Graph(0, ())) == 0
 
     def test_triangle_plus_pendant(self):
         assert max_clique_bruteforce(Graph(4, ((1, 2), (1, 3), (2, 3), (3, 4)))) == 3
